@@ -98,20 +98,30 @@ void BM_TrussDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_TrussDecomposition)->Arg(100)->Arg(300)->Arg(600);
 
-void BM_CtcQuery(benchmark::State& state) {
-  // The production case: 86-drug interaction skeleton.
+/// 3-drug CTC queries on the 86-drug interaction skeleton. `indexed`
+/// is the served path: the skeleton's truss numbers are computed once,
+/// outside the loop, as MsModule does per model snapshot.
+void CtcQueries(benchmark::State& state, bool indexed) {
   const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
   const auto skeleton = ddi.InteractionSkeleton();
+  const std::vector<int> truss = algo::TrussDecomposition(skeleton);
   util::Rng rng(5);
   for (auto _ : state) {
     std::vector<int> query;
     for (int q : rng.SampleWithoutReplacement(skeleton.num_vertices(), 3)) {
       query.push_back(q);
     }
-    benchmark::DoNotOptimize(algo::FindClosestTrussCommunity(skeleton, query));
+    benchmark::DoNotOptimize(indexed
+                                 ? algo::FindClosestTrussCommunity(skeleton, truss, query)
+                                 : algo::FindClosestTrussCommunity(skeleton, query));
   }
 }
+
+void BM_CtcQuery(benchmark::State& state) { CtcQueries(state, true); }
 BENCHMARK(BM_CtcQuery);
+
+void BM_CtcQueryNoIndex(benchmark::State& state) { CtcQueries(state, false); }
+BENCHMARK(BM_CtcQueryNoIndex);
 
 void BM_KMeans(benchmark::State& state) {
   util::Rng rng(6);

@@ -38,6 +38,13 @@
 # matrix AND the process-level drill) against an instrumented build
 # without paying for the full CHECK_SANITIZE suite. CHECK_CHAOS_ONLY=1
 # skips the plain pass.
+#
+# Opt-in stress pass: set CHECK_STRESS=1 and the lock-free concurrency
+# suites (flight recorder, sharded metrics, pipelined client) rerun
+# until one fails, up to 200 times. A torn seqlock read is an
+# interleaving race that TSan cannot see (every access is atomic) and
+# that a single pass hits only sometimes, so this leg wants a multi-core
+# runner. CHECK_STRESS_ONLY=1 skips the plain pass.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,11 +99,20 @@ run_convert_selftest() {
   rm -rf "$tmp"
 }
 
-if [[ -z "${CHECK_SANITIZE_ONLY:-}" && -z "${CHECK_TSAN_ONLY:-}" && -z "${CHECK_CHAOS_ONLY:-}" ]]; then
+if [[ -z "${CHECK_SANITIZE_ONLY:-}" && -z "${CHECK_TSAN_ONLY:-}" && -z "${CHECK_CHAOS_ONLY:-}" && -z "${CHECK_STRESS_ONLY:-}" ]]; then
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j "$(nproc)"
   run_ctest "$BUILD_DIR" env
   run_convert_selftest "$BUILD_DIR"
+fi
+
+if [[ -n "${CHECK_STRESS:-}" ]]; then
+  echo "== stress pass (until-fail:200) in ${BUILD_DIR} =="
+  cmake -B "$BUILD_DIR" -S .
+  cmake --build "$BUILD_DIR" -j "$(nproc)" \
+        --target obs_log_test obs_metrics_test pipeline_test
+  ctest --test-dir "$BUILD_DIR" -R 'obs_log_test|obs_metrics_test|pipeline_test' \
+        --repeat until-fail:200 --output-on-failure
 fi
 
 if [[ -n "${CHECK_CHAOS:-}" ]]; then

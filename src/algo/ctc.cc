@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <set>
 
-#include "algo/bfs.h"
 #include "algo/steiner.h"
 #include "algo/truss.h"
 #include "util/logging.h"
@@ -16,18 +14,19 @@ namespace {
 
 constexpr int kInfDist = std::numeric_limits<int>::max() / 2;
 
-/// BFS over edges that are alive and whose endpoints are alive.
-std::vector<int> BfsAliveEdges(const graph::Graph& g, int source,
-                               const std::vector<char>& alive_vertex,
-                               const std::vector<char>& alive_edge) {
-  std::vector<int> dist(g.num_vertices(), kInfDist);
-  if (!alive_vertex[source]) return dist;
-  std::queue<int> frontier;
+/// BFS over edges that are alive and whose endpoints are alive, into
+/// `dist` (kInfDist where unreached); `queue` is a reusable work buffer.
+void BfsAliveEdges(const graph::Graph& g, int source,
+                   const std::vector<char>& alive_vertex,
+                   const std::vector<char>& alive_edge, std::vector<int>& dist,
+                   std::vector<int>& queue) {
+  dist.assign(g.num_vertices(), kInfDist);
+  if (!alive_vertex[source]) return;
+  queue.clear();
   dist[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const int v = frontier.front();
-    frontier.pop();
+  queue.push_back(source);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const int v = queue[head];
     const auto nbrs = g.Neighbors(v);
     const auto eids = g.IncidentEdges(v);
     for (int i = 0; i < nbrs.size(); ++i) {
@@ -35,32 +34,41 @@ std::vector<int> BfsAliveEdges(const graph::Graph& g, int source,
       if (!alive_edge[eids.begin()[i]] || !alive_vertex[u]) continue;
       if (dist[u] == kInfDist) {
         dist[u] = dist[v] + 1;
-        frontier.push(u);
+        queue.push_back(u);
       }
     }
   }
-  return dist;
 }
 
-/// Per-vertex query distance: max BFS distance to any query vertex.
-std::vector<int> QueryDistances(const graph::Graph& g, const std::vector<int>& query,
-                                const std::vector<char>& alive_vertex,
-                                const std::vector<char>& alive_edge) {
-  std::vector<int> result(g.num_vertices(), 0);
+/// Per-vertex query distance into `result`: max BFS distance to any
+/// query vertex. Returns whether the query is connected, i.e. every
+/// query vertex is reachable from every other.
+bool QueryDistances(const graph::Graph& g, const std::vector<int>& query,
+                    const std::vector<char>& alive_vertex,
+                    const std::vector<char>& alive_edge, std::vector<int>& result,
+                    std::vector<int>& dist, std::vector<int>& queue) {
+  result.assign(g.num_vertices(), 0);
   for (int q : query) {
-    const std::vector<int> dist = BfsAliveEdges(g, q, alive_vertex, alive_edge);
+    BfsAliveEdges(g, q, alive_vertex, alive_edge, dist, queue);
     for (int v = 0; v < g.num_vertices(); ++v) {
       result[v] = std::max(result[v], dist[v]);
     }
   }
-  return result;
+  for (int q : query) {
+    if (result[q] >= kInfDist) return false;
+  }
+  return true;
 }
 
 /// Removes edges whose alive support drops below p-2 (cascading), then
 /// kills vertices with no alive incident edges. Query vertices are never
 /// killed here; if one ends up isolated the caller detects disconnection.
+/// The alive edges plus `removed` must have formed a p-truss, so only
+/// edges that shared a triangle with a removed edge can have fallen
+/// below p-2; the maximal p-truss left is the same whatever the order.
 void MaintainPTruss(const graph::Graph& g, int p, std::vector<char>& alive_vertex,
-                    std::vector<char>& alive_edge, const std::vector<char>& is_query) {
+                    std::vector<char>& alive_edge, const std::vector<char>& is_query,
+                    const std::vector<int>& removed, std::vector<int>& to_check) {
   auto edge_alive = [&](int e) {
     auto [u, v] = g.Edge(e);
     return alive_edge[e] && alive_vertex[u] && alive_vertex[v];
@@ -77,18 +85,8 @@ void MaintainPTruss(const graph::Graph& g, int p, std::vector<char>& alive_verte
     }
     return support;
   };
-
-  std::queue<int> to_check;
-  for (int e = 0; e < g.num_edges(); ++e) {
-    if (edge_alive(e)) to_check.push(e);
-  }
-  while (!to_check.empty()) {
-    const int e = to_check.front();
-    to_check.pop();
-    if (!edge_alive(e)) continue;
-    if (support_of(e) >= p - 2) continue;
-    alive_edge[e] = 0;
-    // Re-check edges that shared a triangle with e.
+  // Queues the alive edges that shared a triangle with dead edge e.
+  auto push_partners = [&](int e) {
     auto [u, v] = g.Edge(e);
     if (g.Degree(u) > g.Degree(v)) std::swap(u, v);
     for (int w : g.Neighbors(u)) {
@@ -96,10 +94,20 @@ void MaintainPTruss(const graph::Graph& g, int p, std::vector<char>& alive_verte
       const int e_uw = g.EdgeId(u, w);
       const int e_vw = g.EdgeId(v, w);
       if (e_vw >= 0) {
-        if (edge_alive(e_uw)) to_check.push(e_uw);
-        if (edge_alive(e_vw)) to_check.push(e_vw);
+        if (edge_alive(e_uw)) to_check.push_back(e_uw);
+        if (edge_alive(e_vw)) to_check.push_back(e_vw);
       }
     }
+  };
+
+  to_check.clear();
+  for (int e : removed) push_partners(e);
+  for (size_t head = 0; head < to_check.size(); ++head) {
+    const int e = to_check[head];
+    if (!edge_alive(e)) continue;
+    if (support_of(e) >= p - 2) continue;
+    alive_edge[e] = 0;
+    push_partners(e);
   }
   // Kill isolated non-query vertices.
   std::vector<int> alive_degree(g.num_vertices(), 0);
@@ -114,21 +122,16 @@ void MaintainPTruss(const graph::Graph& g, int p, std::vector<char>& alive_verte
   }
 }
 
-bool QueryConnected(const graph::Graph& g, const std::vector<int>& query,
-                    const std::vector<char>& alive_vertex,
-                    const std::vector<char>& alive_edge) {
-  if (query.size() <= 1) return !query.empty() && alive_vertex[query.front()];
-  const std::vector<int> dist =
-      BfsAliveEdges(g, query.front(), alive_vertex, alive_edge);
-  for (int q : query) {
-    if (dist[q] >= kInfDist) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
+                                                const std::vector<int>& query,
+                                                const CtcOptions& options) {
+  return FindClosestTrussCommunity(g, TrussDecomposition(g), query, options);
+}
+
+ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
+                                                const std::vector<int>& truss,
                                                 const std::vector<int>& query,
                                                 const CtcOptions& options) {
   ClosestTrussCommunity result;
@@ -147,9 +150,10 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     return result;
   }
 
-  // Step 1: global truss decomposition; truss distance makes high-truss
-  // edges cheap so the Steiner tree prefers dense regions.
-  const std::vector<int> truss = TrussDecomposition(g);
+  // Step 1: truss numbers of g (the caller's); truss distance makes
+  // high-truss edges cheap so the Steiner tree prefers dense regions.
+  DSSDDI_CHECK(static_cast<int>(truss.size()) == g.num_edges())
+      << "edge_truss is not parallel to the graph's edges";
   const int max_truss =
       truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
   std::vector<double> weights(g.num_edges());
@@ -166,37 +170,45 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   for (int e : steiner.edge_ids) p_prime = std::min(p_prime, truss[e]);
   if (steiner.edge_ids.empty()) p_prime = 2;
 
-  std::set<int> vertex_set(steiner.vertices.begin(), steiner.vertices.end());
+  std::vector<char> in_candidate(g.num_vertices(), 0);
+  int candidate_size = 0;
   const int expansion_limit = options.expansion_limit > 0
       ? options.expansion_limit
       : 4 * static_cast<int>(unique_query.size()) + 16;
-  // Greedy frontier of incident edges, highest truss first.
+  // Greedy frontier of incident edges, highest truss first. Pops depend
+  // only on the frontier's contents, never on push order.
   using Item = std::pair<int, int>;  // (truss, edge)
   std::priority_queue<Item> frontier;
   std::vector<char> edge_seen(g.num_edges(), 0);
-  auto push_incident = [&](int v) {
-    const auto eids = g.IncidentEdges(v);
-    for (int e : eids) {
+  auto add_vertex = [&](int v) {
+    if (in_candidate[v]) return;
+    in_candidate[v] = 1;
+    ++candidate_size;
+    for (int e : g.IncidentEdges(v)) {
       if (!edge_seen[e] && truss[e] >= p_prime) {
         edge_seen[e] = 1;
         frontier.emplace(truss[e], e);
       }
     }
   };
-  for (int v : vertex_set) push_incident(v);
-  while (static_cast<int>(vertex_set.size()) < expansion_limit && !frontier.empty()) {
+  for (int v : steiner.vertices) add_vertex(v);
+  while (candidate_size < expansion_limit && !frontier.empty()) {
     auto [t, e] = frontier.top();
     frontier.pop();
     auto [u, v] = g.Edge(e);
-    const bool grew_u = vertex_set.insert(u).second;
-    const bool grew_v = vertex_set.insert(v).second;
-    if (grew_u) push_incident(u);
-    if (grew_v) push_incident(v);
+    add_vertex(u);
+    add_vertex(v);
   }
 
-  // Step 4: local truss decomposition on the induced candidate.
+  // Step 4: local truss decomposition on the induced candidate. One
+  // decomposition gives both the query's trussness p and the maximal
+  // p-truss, which is exactly {e : truss(e) >= p}.
   std::vector<int> new_to_old;
-  std::vector<int> candidate_vertices(vertex_set.begin(), vertex_set.end());
+  std::vector<int> candidate_vertices;
+  candidate_vertices.reserve(candidate_size);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (in_candidate[v]) candidate_vertices.push_back(v);
+  }
   const graph::Graph sub = g.InducedSubgraph(candidate_vertices, &new_to_old);
   std::vector<int> old_to_new(g.num_vertices(), -1);
   for (size_t i = 0; i < new_to_old.size(); ++i) old_to_new[new_to_old[i]] = static_cast<int>(i);
@@ -204,9 +216,14 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   sub_query.reserve(unique_query.size());
   for (int q : unique_query) sub_query.push_back(old_to_new[q]);
 
-  int p = MaxQueryTrussness(sub, sub_query);
-  if (p < 2) p = 2;
-  std::vector<char> alive_edge = PTrussEdges(sub, p);
+  // The Steiner tree lies inside the candidate, so the query is connected
+  // in sub (p >= 2), and by the definition of p it stays connected over
+  // the edges with truss >= p.
+  const std::vector<int> sub_truss = TrussDecomposition(sub);
+  const int p = MaxQueryTrussness(sub, sub_truss, sub_query);
+  DSSDDI_CHECK(p >= 2) << "query disconnected inside its own Steiner tree";
+  std::vector<char> alive_edge(sub.num_edges());
+  for (int e = 0; e < sub.num_edges(); ++e) alive_edge[e] = sub_truss[e] >= p;
   std::vector<char> alive_vertex(sub.num_vertices(), 0);
   std::vector<char> is_query(sub.num_vertices(), 0);
   for (int q : sub_query) is_query[q] = 1;
@@ -223,40 +240,32 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     }
   }
   // Restrict to the component containing the query.
-  if (!QueryConnected(sub, sub_query, alive_vertex, alive_edge)) {
-    // Fall back: the p-truss for this p disconnects the query (can happen
-    // since MaxQueryTrussness works on the full graph g's induced sub).
-    p = 2;
-    alive_edge.assign(sub.num_edges(), 1);
-    alive_vertex.assign(sub.num_vertices(), 1);
+  std::vector<int> dist;
+  std::vector<int> queue;
+  BfsAliveEdges(sub, sub_query.front(), alive_vertex, alive_edge, dist, queue);
+  for (int v = 0; v < sub.num_vertices(); ++v) {
+    if (dist[v] >= kInfDist) alive_vertex[v] = 0;
   }
-  {
-    const std::vector<int> dist0 =
-        BfsAliveEdges(sub, sub_query.front(), alive_vertex, alive_edge);
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (dist0[v] >= kInfDist) alive_vertex[v] = 0;
-    }
-    for (int e = 0; e < sub.num_edges(); ++e) {
-      auto [u, v] = sub.Edge(e);
-      if (!alive_vertex[u] || !alive_vertex[v]) alive_edge[e] = 0;
-    }
+  for (int e = 0; e < sub.num_edges(); ++e) {
+    auto [u, v] = sub.Edge(e);
+    if (!alive_vertex[u] || !alive_vertex[v]) alive_edge[e] = 0;
   }
 
   // Step 5: shrink — delete furthest vertices, maintain p-truss, keep the
-  // iterate with the smallest query distance.
+  // iterate with the smallest query distance. Each iteration's query
+  // distances are computed once and serve the next iteration's deletion.
+  std::vector<int> qd;
+  QueryDistances(sub, sub_query, alive_vertex, alive_edge, qd, dist, queue);
   std::vector<char> best_vertex = alive_vertex;
   std::vector<char> best_edge = alive_edge;
-  int best_distance = kInfDist;
-  {
-    const std::vector<int> qd = QueryDistances(sub, sub_query, alive_vertex, alive_edge);
-    best_distance = 0;
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (alive_vertex[v] && qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
-    }
+  int best_distance = 0;
+  for (int v = 0; v < sub.num_vertices(); ++v) {
+    if (alive_vertex[v] && qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
   }
 
+  std::vector<int> removed_edges;
+  std::vector<int> to_check;
   for (int iter = 0; iter < options.max_shrink_iterations; ++iter) {
-    const std::vector<int> qd = QueryDistances(sub, sub_query, alive_vertex, alive_edge);
     int community_distance = 0;
     for (int v = 0; v < sub.num_vertices(); ++v) {
       if (alive_vertex[v]) community_distance = std::max(community_distance, qd[v]);
@@ -272,19 +281,21 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
       }
     }
     if (!deleted) break;
+    removed_edges.clear();
     for (int e = 0; e < sub.num_edges(); ++e) {
       auto [u, v] = sub.Edge(e);
-      if (!alive_vertex[u] || !alive_vertex[v]) alive_edge[e] = 0;
+      if (alive_edge[e] && (!alive_vertex[u] || !alive_vertex[v])) {
+        alive_edge[e] = 0;
+        removed_edges.push_back(e);
+      }
     }
-    MaintainPTruss(sub, p, alive_vertex, alive_edge, is_query);
-    if (!QueryConnected(sub, sub_query, alive_vertex, alive_edge)) break;
+    MaintainPTruss(sub, p, alive_vertex, alive_edge, is_query, removed_edges, to_check);
+    if (!QueryDistances(sub, sub_query, alive_vertex, alive_edge, qd, dist, queue)) break;
 
-    const std::vector<int> qd_after =
-        QueryDistances(sub, sub_query, alive_vertex, alive_edge);
     int distance_after = 0;
     for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (alive_vertex[v] && qd_after[v] < kInfDist) {
-        distance_after = std::max(distance_after, qd_after[v]);
+      if (alive_vertex[v] && qd[v] < kInfDist) {
+        distance_after = std::max(distance_after, qd[v]);
       }
     }
     if (distance_after <= best_distance) {
@@ -297,7 +308,7 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   // Materialize the result in original ids.
   result.found = true;
   result.trussness = p;
-  result.query_distance = best_distance >= kInfDist ? 0 : best_distance;
+  result.query_distance = best_distance;
   for (int v = 0; v < sub.num_vertices(); ++v) {
     if (best_vertex[v]) result.vertices.push_back(new_to_old[v]);
   }
@@ -307,24 +318,13 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
       result.edge_ids.push_back(g.EdgeId(new_to_old[u], new_to_old[v]));
     }
   }
-  // Diameter of the returned community.
-  {
-    std::vector<char> alive(g.num_vertices(), 0);
-    for (int v : result.vertices) alive[v] = 1;
-    // Use only community edges for the diameter: build a scratch graph.
-    std::vector<std::pair<int, int>> community_edges;
-    community_edges.reserve(result.edge_ids.size());
-    for (int e : result.edge_ids) community_edges.push_back(g.Edge(e));
-    // Remap to compact ids.
-    std::vector<int> remap(g.num_vertices(), -1);
-    for (size_t i = 0; i < result.vertices.size(); ++i) remap[result.vertices[i]] = static_cast<int>(i);
-    for (auto& [u, v] : community_edges) {
-      u = remap[u];
-      v = remap[v];
+  // Diameter of the returned community: its largest finite BFS distance.
+  for (int source = 0; source < sub.num_vertices(); ++source) {
+    if (!best_vertex[source]) continue;
+    BfsAliveEdges(sub, source, best_vertex, best_edge, dist, queue);
+    for (int d : dist) {
+      if (d < kInfDist) result.diameter = std::max(result.diameter, d);
     }
-    const graph::Graph community = graph::Graph::FromEdges(
-        static_cast<int>(result.vertices.size()), community_edges);
-    result.diameter = Diameter(community);
   }
   return result;
 }

@@ -31,13 +31,20 @@ struct CtcOptions {
 
 /// Closest Truss Community search (Huang et al., VLDBJ'15), the subgraph
 /// querying algorithm of the Medical Support module. Steps: (1) truss
-/// decomposition of g; (2) Steiner tree over the query with truss distance
-/// (edges of high trussness are cheap); (3) greedy expansion by incident
-/// edges of truss >= p'; (4) local truss decomposition and maximal
-/// connected p-truss extraction; (5) iterative deletion of the vertices
-/// furthest from the query while maintaining the p-truss property; returns
-/// the iterate with the smallest query distance.
+/// decomposition of g; (2) Steiner tree over the
+/// query with truss distance (edges of high trussness are cheap); (3)
+/// greedy expansion by incident edges of truss >= p'; (4) local truss
+/// decomposition and maximal connected p-truss extraction; (5) iterative
+/// deletion of the vertices furthest from the query while maintaining the
+/// p-truss property; returns the iterate with the smallest query distance.
 ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
+                                                const std::vector<int>& query,
+                                                const CtcOptions& options = {});
+
+/// Same, given g's truss numbers (TrussDecomposition(g)), for callers
+/// that query one fixed graph many times: step (1) is then skipped.
+ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
+                                                const std::vector<int>& edge_truss,
                                                 const std::vector<int>& query,
                                                 const CtcOptions& options = {});
 

@@ -1,82 +1,106 @@
 #include "algo/truss.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
-
-#include "algo/bfs.h"
-#include "util/logging.h"
 
 namespace dssddi::algo {
 
+namespace {
+
+/// Calls visit(e_uw, e_vw) for every triangle {u, v, w} on edge (u, v),
+/// by merging the sorted neighbor lists of u and v; the parallel
+/// IncidentEdges lists hand over both edge ids without a lookup.
+template <typename Visit>
+void ForEachTriangle(const graph::Graph& g, int u, int v, Visit&& visit) {
+  const auto nu = g.Neighbors(u);
+  const auto nv = g.Neighbors(v);
+  const int* eu = g.IncidentEdges(u).begin();
+  const int* ev = g.IncidentEdges(v).begin();
+  int i = 0;
+  int j = 0;
+  while (i < nu.size() && j < nv.size()) {
+    const int a = nu.begin()[i];
+    const int b = nv.begin()[j];
+    if (a < b) ++i;
+    else if (b < a) ++j;
+    else visit(eu[i++], ev[j++]);
+  }
+}
+
+}  // namespace
+
 std::vector<int> EdgeSupport(const graph::Graph& g) {
   std::vector<int> support(g.num_edges(), 0);
-  // For each edge (u, v), intersect sorted neighbor lists.
   for (int e = 0; e < g.num_edges(); ++e) {
     auto [u, v] = g.Edge(e);
-    const auto nu = g.Neighbors(u);
-    const auto nv = g.Neighbors(v);
-    const int* a = nu.begin();
-    const int* b = nv.begin();
-    int count = 0;
-    while (a != nu.end() && b != nv.end()) {
-      if (*a < *b) ++a;
-      else if (*b < *a) ++b;
-      else { ++count; ++a; ++b; }
-    }
-    support[e] = count;
+    ForEachTriangle(g, u, v, [&](int, int) { ++support[e]; });
   }
   return support;
 }
 
 std::vector<int> TrussDecomposition(const graph::Graph& g) {
-  std::vector<int> support = EdgeSupport(g);
-  std::vector<int> truss(g.num_edges(), 2);
-  std::vector<char> removed(g.num_edges(), 0);
+  const int m = g.num_edges();
+  std::vector<int> truss(m, 2);
+  if (m == 0) return truss;
 
-  // Bucket queue over support values.
-  const int max_support = g.num_edges() == 0
-      ? 0
-      : *std::max_element(support.begin(), support.end());
-  std::vector<std::vector<int>> buckets(max_support + 1);
-  for (int e = 0; e < g.num_edges(); ++e) buckets[support[e]].push_back(e);
-
-  int processed = 0;
-  int level = 0;
-  int current_floor = 0;  // support values never drop below the removal floor
-  while (processed < g.num_edges()) {
-    while (level <= max_support && buckets[level].empty()) ++level;
-    DSSDDI_CHECK(level <= max_support) << "truss peeling ran out of edges";
-    const int e = buckets[level].back();
-    buckets[level].pop_back();
-    if (removed[e]) continue;
-    if (support[e] != level) {
-      // Stale bucket entry; reinsert at its true position.
-      buckets[support[e]].push_back(e);
-      continue;
-    }
-    current_floor = std::max(current_floor, support[e]);
-    truss[e] = current_floor + 2;
-    removed[e] = 1;
-    ++processed;
-
-    // Decrement support of edges sharing a triangle with e.
+  // Every triangle on every edge, listed once up front as the ids of its
+  // other two edges: edge e's triangles are the pairs at
+  // tri[2 * tri_start[e] ..), so the peel below never searches for one.
+  std::vector<int> tri_start(m + 1, 0);
+  std::vector<int> tri;
+  std::vector<int> support(m);
+  for (int e = 0; e < m; ++e) {
     auto [u, v] = g.Edge(e);
-    if (g.Degree(u) > g.Degree(v)) std::swap(u, v);
-    for (int w : g.Neighbors(u)) {
-      if (w == v) continue;
-      const int e_uw = g.EdgeId(u, w);
-      const int e_vw = g.EdgeId(v, w);
-      if (e_vw < 0) continue;
+    ForEachTriangle(g, u, v, [&](int e_uw, int e_vw) {
+      tri.push_back(e_uw);
+      tri.push_back(e_vw);
+    });
+    tri_start[e + 1] = static_cast<int>(tri.size() / 2);
+    support[e] = tri_start[e + 1] - tri_start[e];
+  }
+
+  // Bin sort of edges by support (Batagelj & Zaversnik): order[] lists
+  // edges by ascending current support, pos[] is each edge's index in
+  // it, bin[s] is where the run of support-s edges starts.
+  const int max_support = *std::max_element(support.begin(), support.end());
+  std::vector<int> bin(max_support + 2, 0);
+  for (int s : support) ++bin[s + 1];
+  for (int s = 1; s <= max_support + 1; ++s) bin[s] += bin[s - 1];
+  std::vector<int> order(m);
+  std::vector<int> pos(m);
+  {
+    std::vector<int> next(bin.begin(), bin.end() - 1);
+    for (int e = 0; e < m; ++e) {
+      pos[e] = next[support[e]]++;
+      order[pos[e]] = e;
+    }
+  }
+
+  std::vector<char> removed(m, 0);
+  for (int i = 0; i < m; ++i) {
+    // order[i] has the smallest support of the edges left; its support
+    // never drops below that floor again, so truss = support + 2.
+    const int e = order[i];
+    const int floor = support[e];
+    truss[e] = floor + 2;
+    removed[e] = 1;
+    for (int t = tri_start[e]; t < tri_start[e + 1]; ++t) {
+      const int e_uw = tri[2 * t];
+      const int e_vw = tri[2 * t + 1];
       if (removed[e_uw] || removed[e_vw]) continue;
-      for (int edge : {e_uw, e_vw}) {
-        if (support[edge] > current_floor) {
-          --support[edge];
-          buckets[support[edge]].push_back(edge);
-          if (support[edge] < level) level = support[edge];
-        }
+      for (int f : {e_uw, e_vw}) {
+        if (support[f] <= floor) continue;
+        // Move f to the front of its bin, then shrink the bin by one:
+        // f now ends the run of support[f] - 1.
+        const int s = support[f];
+        const int first = order[bin[s]];
+        std::swap(order[pos[f]], order[bin[s]]);
+        std::swap(pos[f], pos[first]);
+        ++bin[s];
+        --support[f];
       }
     }
-    if (level > 0) --level;  // re-check the floor after decrements
   }
   return truss;
 }
@@ -108,47 +132,40 @@ std::vector<char> PTrussEdges(const graph::Graph& g, int p) {
   return alive;
 }
 
-namespace {
-
-/// Connectivity of `query` over alive edges.
-bool QueryConnectedOverEdges(const graph::Graph& g, const std::vector<char>& alive_edges,
-                             const std::vector<int>& query) {
-  if (query.empty()) return true;
-  // Any query vertex must have at least one alive incident edge unless the
-  // query is a single vertex.
-  std::vector<char> visited(g.num_vertices(), 0);
-  std::queue<int> frontier;
-  frontier.push(query.front());
-  visited[query.front()] = 1;
-  while (!frontier.empty()) {
-    const int v = frontier.front();
-    frontier.pop();
-    const auto nbrs = g.Neighbors(v);
-    const auto eids = g.IncidentEdges(v);
-    for (int i = 0; i < nbrs.size(); ++i) {
-      if (!alive_edges[eids.begin()[i]]) continue;
-      const int u = nbrs.begin()[i];
-      if (!visited[u]) {
-        visited[u] = 1;
-        frontier.push(u);
-      }
-    }
-  }
-  for (int q : query) {
-    if (!visited[q]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 int MaxQueryTrussness(const graph::Graph& g, const std::vector<int>& query) {
   if (query.empty()) return 0;
-  const std::vector<int> truss = TrussDecomposition(g);
-  const int max_p = truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+  return MaxQueryTrussness(g, TrussDecomposition(g), query);
+}
+
+int MaxQueryTrussness(const graph::Graph& g, const std::vector<int>& edge_truss,
+                      const std::vector<int>& query) {
+  if (query.empty()) return 0;
+  const int max_p = edge_truss.empty()
+      ? 2
+      : *std::max_element(edge_truss.begin(), edge_truss.end());
+  // Add edges in descending truss order to a union-find; the first level
+  // at which every query vertex shares a root is the answer, since the
+  // maximal p-truss is exactly {e : truss(e) >= p}.
+  std::vector<int> by_truss(edge_truss.size());
+  std::iota(by_truss.begin(), by_truss.end(), 0);
+  std::sort(by_truss.begin(), by_truss.end(),
+            [&](int a, int b) { return edge_truss[a] > edge_truss[b]; });
+  std::vector<int> parent(g.num_vertices());
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](int x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  size_t next = 0;
   for (int p = max_p; p >= 2; --p) {
-    const std::vector<char> alive = PTrussEdges(g, p);
-    if (QueryConnectedOverEdges(g, alive, query)) return p;
+    for (; next < by_truss.size() && edge_truss[by_truss[next]] >= p; ++next) {
+      auto [u, v] = g.Edge(by_truss[next]);
+      parent[find(u)] = find(v);
+    }
+    const int root = find(query.front());
+    bool connected = true;
+    for (int q : query) connected = connected && find(q) == root;
+    if (connected) return p;
   }
   return 0;
 }

@@ -6,6 +6,7 @@
 
 #include "algo/bfs.h"
 #include "algo/densest.h"
+#include "algo/truss.h"
 #include "util/logging.h"
 
 namespace dssddi::core {
@@ -31,6 +32,9 @@ MsModule::MsModule(const graph::SignedGraph& ddi, graph::Graph skeleton,
   DSSDDI_CHECK(alpha > 0.0 && alpha < 1.0) << "alpha must lie in (0, 1)";
   DSSDDI_CHECK(skeleton_.num_vertices() == ddi.num_vertices())
       << "skeleton vertex count disagrees with the DDI graph";
+  if (explainer_ == ExplainerKind::kClosestTrussCommunity) {
+    skeleton_truss_ = algo::TrussDecomposition(skeleton_);
+  }
 }
 
 Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
@@ -62,7 +66,7 @@ Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
   // back to the suggestion itself in that case.
   if (explainer_ == ExplainerKind::kClosestTrussCommunity) {
     const algo::ClosestTrussCommunity ctc =
-        algo::FindClosestTrussCommunity(skeleton_, suggested_drugs);
+        algo::FindClosestTrussCommunity(skeleton_, skeleton_truss_, suggested_drugs);
     if (ctc.found) {
       exp.subgraph_drugs = ctc.vertices;
       exp.trussness = ctc.trussness;

@@ -55,7 +55,8 @@ std::string ExplainerKindName(ExplainerKind kind);
 class MsModule {
  public:
   /// `alpha` balances within-suggestion synergy against outward
-  /// antagonism in SS (Eq. 19).
+  /// antagonism in SS (Eq. 19). The CTC explainer's truss index over the
+  /// skeleton is built here, once per module.
   explicit MsModule(const graph::SignedGraph& ddi, double alpha = 0.5,
                     ExplainerKind explainer = ExplainerKind::kClosestTrussCommunity);
 
@@ -86,6 +87,10 @@ class MsModule {
   graph::Graph skeleton_;
   double alpha_;
   ExplainerKind explainer_;
+  /// Truss number of every skeleton edge, computed once here (CTC
+  /// explainer only; empty otherwise) so a query never re-peels the
+  /// fixed skeleton.
+  std::vector<int> skeleton_truss_;
 };
 
 }  // namespace dssddi::core

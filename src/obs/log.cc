@@ -70,30 +70,44 @@ void FlightRecorder::Record(LogSeverity severity, LogReason reason,
                             double total_ms, const Trace* trace,
                             const char* detail) {
   // Claim a slot by ticket. Distinct tickets map to distinct slots until
-  // the ring wraps; a writer lapped by capacity_ newer events would share
-  // a slot, which the seqlock turns into one torn (skipped) entry rather
-  // than a data race.
+  // the ring wraps. The slot's seq holds 2 * (ticket + 1) once the event
+  // is complete and that minus one (odd) while its writer is stamping.
+  // A writer may claim the slot only by CAS from an even seq stamped by
+  // an older ticket: a lapped writer that finds the slot mid-update or
+  // already newer drops its event instead of mixing fields into it (a
+  // failed CAS retries while the slot is still idle and older). The
+  // acquire pairs with the previous owner's final release store, so
+  // that owner's field stores are ordered before this writer's.
   const uint64_t ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Odd epoch: readers treat the slot as mid-update. fetch_add (not
-  // store) so two lapped writers on the same slot still leave the seq
-  // observably moving — their interleaved field writes can only ever be
-  // read as "changed, retry/skip".
-  slot.seq.fetch_add(1, std::memory_order_release);
-  slot.severity.store(static_cast<int>(severity), std::memory_order_relaxed);
-  slot.reason.store(static_cast<int>(reason), std::memory_order_relaxed);
-  slot.route.store(route, std::memory_order_relaxed);
-  slot.detail.store(detail, std::memory_order_relaxed);
-  slot.status.store(status, std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.unix_seconds.store(UnixSecondsNow(), std::memory_order_relaxed);
-  slot.total_ms.store(total_ms, std::memory_order_relaxed);
-  for (int s = 0; s < kNumStages; ++s) {
-    const uint64_t ns =
-        trace != nullptr ? trace->StageNs(static_cast<Stage>(s)) : 0;
-    slot.stage_ns[static_cast<size_t>(s)].store(ns, std::memory_order_relaxed);
+  const uint64_t stamp = 2 * (ticket + 1);
+  uint64_t current = slot.seq.load(std::memory_order_relaxed);
+  bool claimed = false;
+  while (!claimed && (current & 1u) == 0 && current < stamp) {
+    claimed = slot.seq.compare_exchange_weak(current, stamp - 1,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed);
   }
-  slot.seq.fetch_add(1, std::memory_order_release);
+  if (claimed) {
+    // Orders the odd stamp before every field store below: a reader that
+    // sees any new field value then also sees seq moved (its acquire
+    // fence pairs with this one).
+    std::atomic_thread_fence(std::memory_order_release);
+    slot.severity.store(static_cast<int>(severity), std::memory_order_relaxed);
+    slot.reason.store(static_cast<int>(reason), std::memory_order_relaxed);
+    slot.route.store(route, std::memory_order_relaxed);
+    slot.detail.store(detail, std::memory_order_relaxed);
+    slot.status.store(status, std::memory_order_relaxed);
+    slot.trace_id.store(trace_id, std::memory_order_relaxed);
+    slot.unix_seconds.store(UnixSecondsNow(), std::memory_order_relaxed);
+    slot.total_ms.store(total_ms, std::memory_order_relaxed);
+    for (int s = 0; s < kNumStages; ++s) {
+      const uint64_t ns =
+          trace != nullptr ? trace->StageNs(static_cast<Stage>(s)) : 0;
+      slot.stage_ns[static_cast<size_t>(s)].store(ns, std::memory_order_relaxed);
+    }
+    slot.seq.store(stamp, std::memory_order_release);
+  }
 
   if (options_.stderr_errors && severity == LogSeverity::kError) {
     // Fixed-buffer single-line JSON to stderr: allocation-free so the
@@ -135,9 +149,7 @@ bool FlightRecorder::ReadSlot(size_t index, LogEvent* out,
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     *out = event;
-    // seq == 2 * (ticket mod lap) + 2; recover the write ordinal for
-    // oldest-first sorting: each wrap of this slot adds 2 to seq.
-    *ticket = (before / 2 - 1) * capacity_ + index;
+    *ticket = before / 2 - 1;  // seq == 2 * (ticket + 1)
     return true;
   }
   return false;

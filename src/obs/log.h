@@ -20,12 +20,13 @@ namespace dssddi::obs {
 /// runs on request completion paths, so it must never allocate, never
 /// take a lock and never block. Events are plain fixed-width fields
 /// (severity, route, status, trace id, shed/expiry reason, total and
-/// per-stage durations) stored in per-slot atomics; writers claim slots
-/// with a fetch_add ticket and stamp a seqlock around the field writes,
-/// so readers (the /logz render) detect and skip torn entries instead of
-/// synchronizing with writers. Routes and detail strings are restricted
-/// to string literals (stable addresses, no copies) which is what keeps
-/// the record path allocation-free.
+/// per-stage durations) stored in per-slot atomics; writers take a
+/// fetch_add ticket, claim its slot by CAS (a writer lapped onto a slot
+/// that is busy or newer drops its event) and stamp a seqlock around the
+/// field writes, so readers (the /logz render) detect and skip entries
+/// mid-update instead of synchronizing with writers. Routes and detail
+/// strings are restricted to string literals (stable addresses, no
+/// copies) which is what keeps the record path allocation-free.
 
 /// Event severity, ordered so a minimum-severity filter is one compare.
 enum class LogSeverity : int {
@@ -106,7 +107,8 @@ class FlightRecorder {
                              uint64_t trace_filter = 0,
                              const std::string& route_filter = "") const;
 
-  /// Events recorded since construction (including overwritten ones).
+  /// Record calls since construction, including events since
+  /// overwritten and events a lapped writer dropped unstored.
   uint64_t recorded() const {
     return next_ticket_.load(std::memory_order_relaxed);
   }
@@ -118,8 +120,8 @@ class FlightRecorder {
 
  private:
   /// Seqlock-per-slot mirror of LogEvent. The claim ticket doubles as
-  /// the sequence epoch: slot i holds ticket t only while seq == 2t+2;
-  /// odd seq means a writer is mid-stamp. All fields atomic so
+  /// the sequence epoch: the slot holds ticket t while seq == 2t+2, and
+  /// seq == 2t+1 while t's writer is stamping. All fields atomic so
   /// concurrent read/write is defined without a mutex.
   struct Slot {
     std::atomic<uint64_t> seq{0};

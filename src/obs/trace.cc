@@ -10,7 +10,7 @@ namespace {
 
 constexpr const char* kStageNames[kNumStages] = {
     "http_parse", "admission", "queue_wait", "batch_form",
-    "expiry_sweep", "gemm", "epilogue", "serialize",
+    "expiry_sweep", "gemm", "epilogue", "explain", "serialize",
 };
 
 // Min-heap on total_ns: the root is the least-slow retained trace, i.e.

@@ -43,7 +43,8 @@ enum class Stage : int {
   kBatchForm,       // urgency sort + batch assembly
   kExpirySweep,     // deadline sweep that expired the request (504s only)
   kGemm,            // dense kernel time inside PredictScores
-  kEpilogue,        // suggestion build from scores
+  kEpilogue,        // top-k suggestion build from scores
+  kExplain,         // Medical Support explanation of the suggestion
   kSerialize,       // response encode (JSON or binary frame)
   kStageCount,
 };
@@ -58,8 +59,8 @@ const char* StageName(Stage stage);
 
 /// One sampled request's record. Stage durations are relaxed atomics
 /// because different pipeline threads stamp different stages (dispatch
-/// loop stamps queue_wait/gemm, the worker stamps epilogue, the event
-/// loop stamps serialize) — stages never race on the same slot, but the
+/// loop stamps queue_wait/gemm, the worker stamps epilogue/explain, the
+/// event loop stamps serialize) — stages never race on the same slot, but the
 /// finalizing reader needs a defined read.
 struct Trace {
   using Clock = std::chrono::steady_clock;

@@ -350,11 +350,8 @@ void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
 
     for (int i = 0; i < total; ++i) {
       PendingRequest& pending = batch[i];
-      obs::TraceSpan epilogue_span(pending.request.context.trace,
-                                   obs::Stage::kEpilogue);
       core::Suggestion suggestion =
           BuildSuggestion(*snapshot, scores, i, pending.request);
-      epilogue_span.Stop();
       if (cache_ && pending.request.explain && pending.request.patient_id >= 0) {
         // Cache only when the submit-time key generation matches the
         // snapshot that scored the row. After a racing Reload they can
@@ -446,11 +443,18 @@ void SuggestionService::ExpireRequest(PendingRequest& pending,
 core::Suggestion SuggestionService::BuildSuggestion(
     const ModelSnapshot& snapshot, const tensor::Matrix& scores, int row,
     const Request& request) {
+  // Two back-to-back spans, never nested: the epilogue is the top-k
+  // build, the explain stage the Medical Support explanation after it.
+  obs::TraceSpan epilogue_span(request.context.trace, obs::Stage::kEpilogue);
   core::Suggestion suggestion;
   suggestion.drugs = core::TopKDrugs(scores, row, request.k);
   suggestion.scores.reserve(suggestion.drugs.size());
   for (int d : suggestion.drugs) suggestion.scores.push_back(scores.At(row, d));
-  if (request.explain) suggestion.explanation = snapshot.ms.Explain(suggestion.drugs);
+  epilogue_span.Stop();
+  if (request.explain) {
+    obs::TraceSpan explain_span(request.context.trace, obs::Stage::kExplain);
+    suggestion.explanation = snapshot.ms.Explain(suggestion.drugs);
+  }
   return suggestion;
 }
 

@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "algo/bfs.h"
+#include "algo/ctc.h"
 #include "algo/truss.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
@@ -130,6 +131,104 @@ TEST_P(TrussPropertyTest, TrussNumberConsistentWithPTrussMembership) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, TrussPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// Oracle checks on random graphs: the bin-sort peel, the one-pass
+// query trussness and the precomputed-index CTC path must agree with the
+// independent PTrussEdges peel and the per-p sweep they replaced.
+
+/// The per-p sweep MaxQueryTrussness used to run: one PTrussEdges peel
+/// per candidate p, from the top, until the query is connected.
+int SweepMaxQueryTrussness(const Graph& g, const std::vector<int>& query) {
+  if (query.empty()) return 0;
+  const auto truss = TrussDecomposition(g);
+  const int max_p = truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+  for (int p = max_p; p >= 2; --p) {
+    const auto alive = PTrussEdges(g, p);
+    std::vector<std::pair<int, int>> edges;
+    for (int e = 0; e < g.num_edges(); ++e) {
+      if (alive[e]) edges.push_back(g.Edge(e));
+    }
+    if (AllConnected(Graph::FromEdges(g.num_vertices(), edges), query)) return p;
+  }
+  return 0;
+}
+
+class TrussOracleTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  /// Size 6-40 and density 0.05-0.6 drawn from the seed.
+  static Graph Draw(uint64_t seed) {
+    util::Rng rng(seed);
+    const int n = static_cast<int>(rng.UniformInt(6, 40));
+    const double p = rng.Uniform(0.05, 0.6);
+    return RandomGraph(n, p, seed * 7919 + 3);
+  }
+};
+
+TEST_P(TrussOracleTest, TrussNumberIsLargestPTrussContainingEdge) {
+  const Graph g = Draw(GetParam());
+  const auto truss = TrussDecomposition(g);
+  const int max_truss =
+      truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+  std::vector<int> oracle(g.num_edges(), 0);
+  for (int p = 2; p <= max_truss + 1; ++p) {
+    const auto alive = PTrussEdges(g, p);
+    for (int e = 0; e < g.num_edges(); ++e) {
+      if (alive[e]) oracle[e] = p;
+    }
+  }
+  EXPECT_EQ(truss, oracle);
+}
+
+TEST_P(TrussOracleTest, PTrussEdgesEqualTrussThreshold) {
+  const Graph g = Draw(GetParam());
+  const auto truss = TrussDecomposition(g);
+  const int max_truss =
+      truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+  for (int p = 2; p <= max_truss + 1; ++p) {
+    const auto alive = PTrussEdges(g, p);
+    for (int e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(alive[e] != 0, truss[e] >= p) << "edge " << e << " p=" << p;
+    }
+  }
+}
+
+TEST_P(TrussOracleTest, MaxQueryTrussnessMatchesPerPSweep) {
+  const Graph g = Draw(GetParam());
+  util::Rng rng(GetParam() + 1000);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<int> query;
+    const int size = static_cast<int>(rng.UniformInt(1, 5));
+    for (int i = 0; i < size; ++i) {
+      query.push_back(static_cast<int>(rng.NextBelow(g.num_vertices())));
+    }
+    EXPECT_EQ(MaxQueryTrussness(g, query), SweepMaxQueryTrussness(g, query));
+    EXPECT_EQ(MaxQueryTrussness(g, TrussDecomposition(g), query),
+              SweepMaxQueryTrussness(g, query));
+  }
+}
+
+TEST_P(TrussOracleTest, CtcWithPrecomputedTrussMatchesCtcWithout) {
+  const Graph g = Draw(GetParam());
+  const auto truss = TrussDecomposition(g);
+  util::Rng rng(GetParam() + 2000);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<int> query;
+    const int size = static_cast<int>(rng.UniformInt(1, 5));
+    for (int i = 0; i < size; ++i) {
+      query.push_back(static_cast<int>(rng.NextBelow(g.num_vertices())));
+    }
+    const auto plain = FindClosestTrussCommunity(g, query);
+    const auto fast = FindClosestTrussCommunity(g, truss, query);
+    EXPECT_EQ(fast.found, plain.found);
+    EXPECT_EQ(fast.vertices, plain.vertices);
+    EXPECT_EQ(fast.edge_ids, plain.edge_ids);
+    EXPECT_EQ(fast.trussness, plain.trussness);
+    EXPECT_EQ(fast.diameter, plain.diameter);
+    EXPECT_EQ(fast.query_distance, plain.query_distance);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, TrussOracleTest, ::testing::Range<uint64_t>(1, 121));
 
 TEST(MaxQueryTrussnessTest, TriangleQuery) {
   Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});

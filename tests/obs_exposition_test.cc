@@ -1206,9 +1206,9 @@ TEST_F(ObsEndToEndTest, ServerTimingIsStrictlyFormattedAndSampledOnly) {
       EXPECT_TRUE(parse_end != dur.c_str() && *parse_end == '\0') << entry;
       EXPECT_GE(ms, 0.0) << entry;
     }
-    // The stages a fresh (uncached) scoring request always spends
-    // measurable time in.
-    for (const char* stage : {"gemm", "serialize"}) {
+    // The stages a fresh (uncached) explained scoring request always
+    // spends measurable time in.
+    for (const char* stage : {"gemm", "explain", "serialize"}) {
       EXPECT_EQ(seen.count(stage), 1u) << stage;
     }
     server.Stop();
@@ -1279,6 +1279,12 @@ TEST_F(ObsEndToEndTest, LogzServesFilteredWideEventsAndRejectsJunk) {
         std::to_string(event.Find("trace_id")->AsInt()) == *trace_id) {
       saw_completion = true;
       EXPECT_GT(event.Find("total_ms")->AsDouble(), 0.0);
+      // The sampled completion carries its stage breakdown, the
+      // explanation by its own name.
+      const net::JsonValue* stages = event.Find("stages_ms");
+      ASSERT_NE(stages, nullptr) << all.body;
+      ASSERT_NE(stages->Find("explain"), nullptr) << all.body;
+      EXPECT_GT(stages->Find("explain")->AsDouble(), 0.0);
     }
     if (event.Find("reason")->AsString() == "bad_request") {
       saw_rejection = true;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "io/inference_bundle.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/admission_controller.h"
 #include "serve/latency_tracker.h"
 #include "serve/request_batcher.h"
@@ -613,6 +615,29 @@ TEST_F(SuggestionServiceTest, ExplanationFreeRequestsMatchOnDrugsAndScores) {
     EXPECT_EQ(actual.scores[i], expected.scores[i]);
   }
   EXPECT_TRUE(actual.explanation.subgraph_drugs.empty());
+}
+
+TEST_F(SuggestionServiceTest, TracedExplanationIsItsOwnStage) {
+  serve::SuggestionService service(*bundle_, {});
+  const int patient = dataset_->split.test.front();
+  auto traced = [&](bool explain) {
+    serve::Request request = RequestFor(patient, 3);
+    request.explain = explain;
+    request.context.trace = std::make_shared<obs::Trace>();
+    const std::shared_ptr<obs::Trace> trace = request.context.trace;
+    service.Submit(std::move(request)).get();
+    return trace;
+  };
+  // explain=true: the top-k epilogue and the explanation are both
+  // stamped, each in its own span.
+  const std::shared_ptr<obs::Trace> explained = traced(true);
+  EXPECT_GT(explained->StageNs(obs::Stage::kEpilogue), 0u);
+  EXPECT_GT(explained->StageNs(obs::Stage::kExplain), 0u);
+  // explain=false never enters the explainer.
+  const std::shared_ptr<obs::Trace> plain = traced(false);
+  EXPECT_GT(plain->StageNs(obs::Stage::kEpilogue), 0u);
+  EXPECT_EQ(plain->StageNs(obs::Stage::kExplain), 0u);
+  EXPECT_STREQ(obs::StageName(obs::Stage::kExplain), "explain");
 }
 
 TEST_F(SuggestionServiceTest, MalformedRequestsAreRejectedViaTheFuture) {
