@@ -3,11 +3,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "data/dataset.h"
 #include "data/mimic_like.h"
 #include "io/binary.h"
+#include "net/json.h"
+#include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 
 namespace dssddi::bench {
 
@@ -35,6 +40,51 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref) 
   std::printf("%s\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("==========================================================\n\n");
+}
+
+/// First line of `command`'s output; empty when it fails or prints
+/// nothing.
+inline std::string FirstLineOf(const char* command) {
+  std::string out;
+  if (FILE* pipe = popen(command, "r")) {
+    char buffer[256];
+    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) out = buffer;
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out;
+}
+
+/// Adds the "provenance" object a BENCH_*.json carries, so a number is
+/// never read without where it came from: source revision ("+dirty" when
+/// tracked files differ from it; run from inside the checkout), core
+/// count, CPU model, build type, GEMM backend and the process-wide
+/// quantization mode (rows that pin their own mode say so per row).
+inline void WriteProvenance(net::JsonWriter& json) {
+  std::string sha = FirstLineOf("git rev-parse --short=12 HEAD 2>/dev/null");
+  if (sha.empty()) {
+    sha = "unknown";
+  } else if (!FirstLineOf("git status --porcelain --untracked-files=no 2>/dev/null")
+                  .empty()) {
+    sha += "+dirty";
+  }
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+      cpu_model = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  json.Key("provenance").BeginObject()
+      .Key("sha").String(sha)
+      .Key("nproc").Int(static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Key("cpu_model").String(cpu_model)
+      .Key("build_type").String(DSSDDI_BUILD_TYPE)
+      .Key("gemm_backend").String(tensor::kernels::ActiveBackendName())
+      .Key("quantization").String(
+          tensor::kernels::QuantModeName(tensor::kernels::ActiveQuantMode()))
+      .EndObject();
 }
 
 /// Writes a bench's machine-readable results to BENCH_<name>.json (in

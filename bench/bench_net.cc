@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -893,15 +894,50 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------------
   // Grid 3: deadline propagation — every request advertises a 2ms
-  // budget while the batch window alone is 5ms, so the pipeline should
-  // answer 504 (shed at admission once the p50 is known, or expired in
-  // the batcher before scoring) instead of scoring doomed work.
+  // budget while the deadline service's only scoring worker is held
+  // parked: a parking request's completion (completions run on the
+  // worker) keeps it until the queue has not grown for 5ms, so every
+  // queued request is past its budget, then parks the next round and
+  // lets go. The pipeline should answer 504 (shed at admission once the
+  // p50 is known, or expired at the cut before scoring) instead of
+  // scoring doomed work.
   // ------------------------------------------------------------------
+  std::atomic<bool> parking{true};
+  std::atomic<uint64_t> parking_rounds{0};
+  std::function<void()> park;
   serve::ServiceOptions deadline_service_options = service_options;
+  deadline_service_options.num_threads = 1;
   deadline_service_options.cache_capacity = 0;
-  deadline_service_options.batch_wait_us = 5000;
   serve::SuggestionService deadline_service(std::move(bundle),
                                             deadline_service_options);
+  park = [&] {
+    serve::Request parking_request;
+    parking_request.features.assign(
+        static_cast<size_t>(deadline_service.feature_width()), 0.0f);
+    parking_request.k = 1;
+    parking_request.explain = false;
+    parking_rounds.fetch_add(1, std::memory_order_relaxed);
+    deadline_service.SubmitAsync(
+        std::move(parking_request),
+        [&](core::Suggestion, std::shared_ptr<const serve::ModelSnapshot>,
+            std::exception_ptr) {
+          constexpr auto kStill = std::chrono::milliseconds(5);
+          size_t depth = deadline_service.QueueDepth();
+          auto still_since = std::chrono::steady_clock::now();
+          while (parking.load()) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            const size_t now_depth = deadline_service.QueueDepth();
+            const auto now = std::chrono::steady_clock::now();
+            if (now_depth != depth) {
+              depth = now_depth;
+              still_since = now;
+            } else if (depth > 0 && now - still_since >= kStill) {
+              break;
+            }
+          }
+          if (parking.load()) park();
+        });
+  };
   net::SuggestFrontend deadline_frontend(&deadline_service,
                                          perf_frontend_options);
   net::HttpServer deadline_server(server_options,
@@ -910,23 +946,28 @@ int main(int argc, char** argv) {
     std::printf("error: %s\n", status.message.c_str());
     return 1;
   }
+  park();
   net::ClientRequestOptions doomed_options = json_options;
   doomed_options.deadline_ms = 30000;    // client waits for its 504
   doomed_options.advertise_deadline_ms = 2;  // server budget: 2ms
-  std::printf("\nwith a 2ms advertised budget against a 5ms batch window"
+  std::printf("\nwith a 2ms advertised budget behind a parked worker"
               " (cache off):\n");
   PrintHeaderRow();
   const int deadline_requests = std::min(num_requests, 600);
   const LoadResult doomed = RunLoad(deadline_server.port(), json_bodies, 8,
                                     deadline_requests, doomed_options);
+  parking.store(false);
   PrintRow("json", 8, doomed);
   record("tight_deadline", "json", 8, doomed);
   const serve::ServiceStats deadline_stats = deadline_service.Stats();
   std::printf("\ndeadline after grid: %llu expired pre-scoring, %llu"
-              " deadline-shed at admission, %llu batches scored\n",
+              " deadline-shed at admission, %llu doomed requests scored,"
+              " %llu batches scored (%llu parking rounds)\n",
               static_cast<unsigned long long>(deadline_stats.expired),
               static_cast<unsigned long long>(deadline_stats.deadline_shed),
-              static_cast<unsigned long long>(deadline_stats.batches));
+              static_cast<unsigned long long>(doomed.ok),
+              static_cast<unsigned long long>(deadline_stats.batches),
+              static_cast<unsigned long long>(parking_rounds.load()));
   deadline_server.Stop();
 
   bool ok = grid_errors == 0 && tight_result.errors == 0 &&

@@ -40,11 +40,13 @@
 # skips the plain pass.
 #
 # Opt-in stress pass: set CHECK_STRESS=1 and the lock-free concurrency
-# suites (flight recorder, sharded metrics, pipelined client) rerun
-# until one fails, up to 200 times. A torn seqlock read is an
-# interleaving race that TSan cannot see (every access is atomic) and
-# that a single pass hits only sometimes, so this leg wants a multi-core
-# runner. CHECK_STRESS_ONLY=1 skips the plain pass.
+# suites (flight recorder, sharded metrics, pipelined client) plus the
+# serving suite (the request batcher's worker-pulled cuts, parked-worker
+# admission and shutdown drain) rerun until one fails, up to 200 times.
+# A torn seqlock read is an interleaving race that TSan cannot see
+# (every access is atomic) and that a single pass hits only sometimes,
+# so this leg wants a multi-core runner. CHECK_STRESS_ONLY=1 skips the
+# plain pass.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -110,8 +112,8 @@ if [[ -n "${CHECK_STRESS:-}" ]]; then
   echo "== stress pass (until-fail:200) in ${BUILD_DIR} =="
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-        --target obs_log_test obs_metrics_test pipeline_test
-  ctest --test-dir "$BUILD_DIR" -R 'obs_log_test|obs_metrics_test|pipeline_test' \
+        --target obs_log_test obs_metrics_test pipeline_test serve_test
+  ctest --test-dir "$BUILD_DIR" -R '^(obs_log_test|obs_metrics_test|pipeline_test|serve_test)$' \
         --repeat until-fail:200 --output-on-failure
 fi
 

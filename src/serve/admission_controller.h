@@ -16,8 +16,9 @@ namespace dssddi::serve {
 ///  - `max_in_flight`: requests admitted but not yet completed. This is
 ///    the classic token gate — it caps the work (and memory: promises,
 ///    feature rows, batch slots) a traffic burst can pin at once.
-///  - `max_queue_depth`: requests sitting in the batcher/pool queues
-///    waiting for a worker. Queue depth is the earliest congestion
+///  - `max_queue_depth`: requests sitting in the batcher queue, not yet
+///    cut into a batch by a scoring worker (requests, not batches: one
+///    queue, one unit). Queue depth is the earliest congestion
 ///    signal: once queues grow, every queued request is already paying
 ///    latency, so it is strictly better to shed new arrivals (HTTP 429)
 ///    than to let them join a line that can only get longer.
@@ -40,7 +41,8 @@ class AdmissionController {
   struct Options {
     /// Admitted-but-uncompleted ceiling; 0 = unbounded.
     size_t max_in_flight = 0;
-    /// Batcher+pool queue-depth ceiling observed at admission; 0 = unbounded.
+    /// Ceiling on queued (not yet cut) requests observed at admission;
+    /// 0 = unbounded.
     size_t max_queue_depth = 0;
     /// A deadline-carrying request is shed when its remaining budget is
     /// below `deadline_headroom * observed_p50`. 1.0 sheds requests that

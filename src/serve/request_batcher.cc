@@ -31,8 +31,11 @@ RequestBatcher::RequestBatcher(const Options& options, BatchHandler handler,
       expired_handler_(std::move(expired_handler)) {
   DSSDDI_CHECK(handler_ != nullptr) << "RequestBatcher needs a batch handler";
   if (options_.max_batch_size < 1) options_.max_batch_size = 1;
-  if (options_.max_wait_us < 0) options_.max_wait_us = 0;
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  const int workers = std::max(options_.num_workers, 1);
+  workers_.reserve(static_cast<size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 RequestBatcher::~RequestBatcher() {
@@ -41,7 +44,7 @@ RequestBatcher::~RequestBatcher() {
     stopping_ = true;
   }
   wake_.notify_all();
-  dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void RequestBatcher::Enqueue(Request request, CacheKey key, Completion done) {
@@ -79,131 +82,125 @@ size_t RequestBatcher::QueueDepth() const {
   return queue_.size();
 }
 
-void RequestBatcher::DispatchLoop() {
-  const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
+void RequestBatcher::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    // Hold the batch open until it fills, the oldest request times out,
-    // or shutdown forces a flush. The queue may have been re-ordered by
-    // an earlier deadline sort, so "oldest" is a scan, not front().
-    if (options_.max_wait_us > 0) {
-      const auto oldest = std::min_element(
-          queue_.begin(), queue_.end(),
-          [](const PendingRequest& a, const PendingRequest& b) {
-            return a.enqueue_time < b.enqueue_time;
-          });
-      const auto deadline =
-          oldest->enqueue_time + std::chrono::microseconds(options_.max_wait_us);
-      wake_.wait_until(lock, deadline, [this, max_batch] {
-        return stopping_ || queue_.size() >= max_batch;
-      });
-    }
-
-    // Expiry sweep: requests whose deadline already passed leave the
-    // queue here — before scoring, without occupying one of the
-    // max_batch slots below — and are completed by the expired handler.
-    std::vector<PendingRequest> expired;
-    const auto now = std::chrono::steady_clock::now();
-    if (expired_handler_) {
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        if (it->request.context.ExpiredAt(now)) {
-          expired.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      expired_dispatched_ += expired.size();
-      // Stamp the sweep's cost on the sampled requests it removed: for a
-      // 504 the sweep IS the stage that decided the request's fate. The
-      // clock is read only when a sampled request was actually swept.
-      bool any_traced = false;
-      for (const PendingRequest& pending : expired) {
-        if (pending.request.context.trace) any_traced = true;
-      }
-      if (any_traced) {
-        const auto sweep_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - now)
-                .count());
-        for (const PendingRequest& pending : expired) {
-          if (obs::Trace* trace = pending.request.context.trace.get()) {
-            trace->AddStageNs(obs::Stage::kExpirySweep, sweep_ns);
-          }
-        }
-      }
-    }
-
-    // Oldest-deadline-first batch formation over the live remainder.
-    // Selection, not a full sort: only the `take` most urgent requests
-    // matter (a batch is one matrix pass; within-batch order is
-    // cosmetic), and this runs under the mutex Enqueue contends on.
-    const auto formation_start = std::chrono::steady_clock::now();
-    const size_t take = std::min(queue_.size(), max_batch);
-    if (take > 0 && queue_.size() > take) {
-      std::nth_element(queue_.begin(), queue_.begin() + take, queue_.end(),
-                       MoreUrgent);
-    }
-    if (take > 1) {
-      std::sort(queue_.begin(), queue_.begin() + take, MoreUrgent);
-    }
-    // Anti-starvation floor: once the longest-waiting request has been
-    // held past the batch window it claims a slot in this cut
-    // regardless of urgency. Without this, sustained deadline-carrying
-    // traffic could park a no-deadline (or far-deadline) request at the
-    // back of every selection forever; with it, the overdue FIFO head
-    // advances every cut while the other slots stay deadline-ordered.
-    if (take > 0 && queue_.size() > take) {
-      const auto oldest = std::min_element(
-          queue_.begin(), queue_.end(),
-          [](const PendingRequest& a, const PendingRequest& b) {
-            return a.enqueue_time < b.enqueue_time;
-          });
-      const bool overdue =
-          oldest->enqueue_time + std::chrono::microseconds(options_.max_wait_us) <=
-          now;
-      if (overdue && static_cast<size_t>(oldest - queue_.begin()) >= take) {
-        std::iter_swap(queue_.begin() + take - 1, oldest);
-      }
-    }
+    if (queue_.empty()) return;  // stopping, and everything is drained
     std::vector<PendingRequest> batch;
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+    std::vector<PendingRequest> expired;
+    CutLocked(&batch, &expired);
+    // A full cut can leave work behind; hand it to an idle worker now
+    // rather than at the next arrival.
+    if (!queue_.empty()) wake_.notify_one();
+    lock.unlock();
+    // Handlers complete their own requests; one that throws anyway is
+    // logged here rather than ending the worker (and with it the queue).
+    try {
+      if (!expired.empty()) expired_handler_(std::move(expired));
+    } catch (...) {
+      DSSDDI_LOG(Warning) << "expired handler threw; worker continues";
     }
-    if (!batch.empty()) {
-      ++batches_dispatched_;
-      requests_dispatched_ += batch.size();
-      // Formation (urgency selection + assembly) is batch-wide work, so
-      // every sampled member gets the cut's full cost, mirroring the
-      // gemm attribution. Second clock read only when someone is sampled.
-      bool any_traced = false;
-      for (const PendingRequest& pending : batch) {
-        if (pending.request.context.trace) any_traced = true;
+    try {
+      if (!batch.empty()) handler_(std::move(batch));
+    } catch (...) {
+      DSSDDI_LOG(Warning) << "batch handler threw; worker continues";
+    }
+    lock.lock();
+  }
+}
+
+void RequestBatcher::CutLocked(std::vector<PendingRequest>* batch,
+                               std::vector<PendingRequest>* expired) {
+  const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
+  // Expiry sweep: requests whose deadline already passed leave the
+  // queue here — before scoring, without occupying one of the
+  // max_batch slots below — and are completed by the expired handler.
+  const auto now = std::chrono::steady_clock::now();
+  if (expired_handler_) {
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if (it->request.context.ExpiredAt(now)) {
+        expired->push_back(std::move(*it));
+        it = queue_.erase(it);
+      } else {
+        ++it;
       }
-      if (any_traced) {
-        const auto form_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - formation_start)
-                .count());
-        for (const PendingRequest& pending : batch) {
-          if (obs::Trace* trace = pending.request.context.trace.get()) {
-            trace->AddStageNs(obs::Stage::kBatchForm, form_ns);
-          }
+    }
+    expired_dispatched_ += expired->size();
+    // Stamp the sweep's cost on the sampled requests it removed: for a
+    // 504 the sweep IS the stage that decided the request's fate. The
+    // clock is read only when a sampled request was actually swept.
+    bool any_traced = false;
+    for (const PendingRequest& pending : *expired) {
+      if (pending.request.context.trace) any_traced = true;
+    }
+    if (any_traced) {
+      const auto sweep_ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - now)
+              .count());
+      for (const PendingRequest& pending : *expired) {
+        if (obs::Trace* trace = pending.request.context.trace.get()) {
+          trace->AddStageNs(obs::Stage::kExpirySweep, sweep_ns);
         }
       }
     }
-    if (batch.empty() && expired.empty()) continue;
-    lock.unlock();
-    if (!expired.empty()) expired_handler_(std::move(expired));
-    if (!batch.empty()) handler_(std::move(batch));
-    lock.lock();
+  }
+
+  // Oldest-deadline-first batch formation over the live remainder.
+  // Selection, not a full sort: only the `take` most urgent requests
+  // matter (a batch is one matrix pass; within-batch order is
+  // cosmetic), and this runs under the mutex Enqueue contends on.
+  const auto formation_start = std::chrono::steady_clock::now();
+  const size_t take = std::min(queue_.size(), max_batch);
+  if (take > 0 && queue_.size() > take) {
+    std::nth_element(queue_.begin(), queue_.begin() + take, queue_.end(),
+                     MoreUrgent);
+  }
+  if (take > 1) {
+    std::sort(queue_.begin(), queue_.begin() + take, MoreUrgent);
+  }
+  // Anti-starvation floor: the longest-waiting request claims a slot in
+  // every cut that would otherwise leave it behind, regardless of
+  // urgency. Without this, sustained deadline-carrying traffic could
+  // park a no-deadline (or far-deadline) request at the back of every
+  // selection forever; with it, the FIFO head advances every cut while
+  // the other slots stay deadline-ordered.
+  if (take > 0 && queue_.size() > take) {
+    const auto oldest = std::min_element(
+        queue_.begin(), queue_.end(),
+        [](const PendingRequest& a, const PendingRequest& b) {
+          return a.enqueue_time < b.enqueue_time;
+        });
+    if (static_cast<size_t>(oldest - queue_.begin()) >= take) {
+      std::iter_swap(queue_.begin() + take - 1, oldest);
+    }
+  }
+  batch->reserve(take);
+  for (size_t i = 0; i < take; ++i) {
+    batch->push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+  if (batch->empty()) return;
+  ++batches_dispatched_;
+  requests_dispatched_ += batch->size();
+  // Formation (urgency selection + assembly) is batch-wide work, so
+  // every sampled member gets the cut's full cost, mirroring the gemm
+  // attribution. Second clock read only when someone is sampled.
+  bool any_traced = false;
+  for (const PendingRequest& pending : *batch) {
+    if (pending.request.context.trace) any_traced = true;
+  }
+  if (any_traced) {
+    const auto form_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - formation_start)
+            .count());
+    for (const PendingRequest& pending : *batch) {
+      if (obs::Trace* trace = pending.request.context.trace.get()) {
+        trace->AddStageNs(obs::Stage::kBatchForm, form_ns);
+      }
+    }
   }
 }
 

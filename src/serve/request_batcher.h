@@ -45,8 +45,11 @@ struct Request {
 /// default-constructed and `error` carries the exception. Invoked exactly
 /// once, from whichever thread finishes the request (a scoring worker, or
 /// the submitter itself on a cache hit) — implementations must be safe to
-/// run anywhere, must not block, and should not throw (an escaping
-/// exception is swallowed and logged, never redelivered).
+/// run anywhere and should not throw (an escaping exception is swallowed
+/// and logged, never redelivered). They must not block either: a scoring
+/// worker also cuts the batches, so a completion that blocks stalls that
+/// worker's share of the queue (and, with one worker, the whole queue)
+/// until it returns.
 using Completion =
     std::function<void(core::Suggestion suggestion,
                        std::shared_ptr<const ModelSnapshot> snapshot,
@@ -70,12 +73,12 @@ struct PendingRequest {
   }
 };
 
-/// Groups single-patient requests into micro-batches so model scoring
-/// runs one matrix pass per batch instead of one per request. A
-/// dedicated dispatcher thread collects arrivals; a batch is cut as soon
-/// as `max_batch_size` requests are waiting or the oldest request has
-/// waited `max_wait_us`, whichever comes first. The cut batch is handed
-/// to `handler` (which typically posts it onto a ThreadPool).
+/// Micro-batching request queue served by its own scoring threads. A
+/// worker that is free cuts whatever is queued, up to `max_batch_size`,
+/// and hands that batch to `handler` on its own thread; nothing holds a
+/// batch open waiting for company. So batches form from load alone: a
+/// lone request on an idle server is scored at once, and requests that
+/// arrive while every worker is busy are cut together when one frees.
 ///
 /// Deadline awareness (only when an `expired_handler` is supplied): at
 /// every cut, requests whose RequestContext deadline has already passed
@@ -88,17 +91,18 @@ struct PendingRequest {
 /// of urgency, so sustained deadline traffic can delay a no-deadline
 /// request by at most queue_len/max_batch cuts, never starve it.
 ///
-/// The destructor stops intake and flushes everything still queued, so
-/// no completion is ever abandoned.
+/// The destructor stops intake, lets the workers drain everything still
+/// queued, and joins them, so no completion is ever abandoned.
 class RequestBatcher {
  public:
   struct Options {
     int max_batch_size = 32;
-    /// How long the dispatcher holds an underfull batch open waiting for
-    /// company. 0 dispatches whatever is queued immediately.
-    int max_wait_us = 200;
+    /// Scoring threads pulling batches from the queue (at least 1).
+    int num_workers = 1;
   };
 
+  /// Scores one cut batch; runs on the worker that cut it, which takes
+  /// no further batch until it returns.
   using BatchHandler = std::function<void(std::vector<PendingRequest>)>;
   /// Receives the expired sweep of a cut; each pending request must
   /// still be completed (typically failed with DeadlineExceeded).
@@ -122,8 +126,8 @@ class RequestBatcher {
     uint64_t expired = 0;
   };
 
-  /// Both counters from one lock acquisition — a consistent snapshot
-  /// (reading them separately could interleave with a dispatch).
+  /// All counters from one lock acquisition — a consistent snapshot
+  /// (reading them separately could interleave with a cut).
   DispatchCounters dispatch_counters() const;
 
   uint64_t batches_dispatched() const;
@@ -132,8 +136,14 @@ class RequestBatcher {
   /// Requests queued but not yet cut into a batch.
   size_t QueueDepth() const;
 
+  int num_workers() const { return static_cast<int>(workers_.size()); }
+
  private:
-  void DispatchLoop();
+  void WorkerLoop();
+  /// Sweeps expired requests into `*expired` and moves the next batch
+  /// into `*batch`. Caller holds `mutex_`.
+  void CutLocked(std::vector<PendingRequest>* batch,
+                 std::vector<PendingRequest>* expired);
 
   Options options_;
   BatchHandler handler_;
@@ -147,7 +157,7 @@ class RequestBatcher {
   uint64_t requests_dispatched_ = 0;
   uint64_t expired_dispatched_ = 0;
 
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dssddi::serve

@@ -84,21 +84,15 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
     cache_ = std::make_unique<SuggestionCache>(options_.cache_capacity,
                                                options_.cache_shards);
   }
-  pool_ = std::make_unique<ThreadPool>(ResolveThreads(options_.num_threads));
   RequestBatcher::Options batch_options;
   batch_options.max_batch_size = options_.max_batch_size;
-  batch_options.max_wait_us = options_.batch_wait_us;
+  batch_options.num_workers = ResolveThreads(options_.num_threads);
   batcher_ = std::make_unique<RequestBatcher>(
       batch_options,
-      [this](std::vector<PendingRequest> batch) {
-        pool_->Submit([this, shared = std::make_shared<std::vector<PendingRequest>>(
-                                 std::move(batch))]() mutable {
-          HandleBatch(std::move(*shared));
-        });
-      },
+      [this](std::vector<PendingRequest> batch) { HandleBatch(std::move(batch)); },
       // Expiry sweep sink: complete each swept request (and its
-      // coalesced waiters) with DeadlineExceeded on the dispatcher
-      // thread — cheap, no scoring, keeps in-flight accounting exact.
+      // coalesced waiters) with DeadlineExceeded on the worker that cut
+      // it — cheap, no scoring, keeps in-flight accounting exact.
       [this](std::vector<PendingRequest> expired) {
         for (PendingRequest& pending : expired) ExpireRequest(pending);
       });
@@ -266,7 +260,7 @@ void SuggestionService::PublishBundleGauges(const ModelSnapshot& snapshot) {
 }
 
 size_t SuggestionService::QueueDepth() const {
-  return batcher_->QueueDepth() + pool_->QueueDepth();
+  return batcher_->QueueDepth();
 }
 
 uint64_t SuggestionService::InFlight() const {
@@ -276,25 +270,8 @@ uint64_t SuggestionService::InFlight() const {
 }
 
 void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
-  if (batch.empty()) return;
-  // Last pre-scoring expiry check: the batcher swept at cut time, but
-  // waiting for a worker costs time too — a request that expired in the
-  // pool queue must not have a matrix row built for it.
   const auto pickup = std::chrono::steady_clock::now();
-  {
-    size_t live = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].request.context.ExpiredAt(pickup)) {
-        ExpireRequest(batch[i]);
-      } else {
-        if (live != i) batch[live] = std::move(batch[i]);
-        ++live;
-      }
-    }
-    batch.resize(live);
-    if (batch.empty()) return;
-  }
-  // Stamp queue_wait (enqueue to worker pickup) on sampled requests and
+  // Stamp queue_wait (enqueue to the cut) on sampled requests and
   // learn whether this batch needs kernel-time attribution at all — the
   // untraced batch must not pay for a timing window.
   bool any_traced = false;
@@ -543,7 +520,7 @@ ServiceStats SuggestionService::Stats() const {
   stats.p90_latency_ms = latency.p90_ms;
   stats.p99_latency_ms = latency.p99_ms;
   stats.max_latency_ms = latency.max_ms;
-  stats.num_threads = pool_->num_threads();
+  stats.num_threads = batcher_->num_workers();
   stats.gemm_backend = tensor::kernels::ActiveBackendName();
   const std::shared_ptr<const ModelSnapshot> current = snapshot();
   stats.quantization = current->quantization_name();

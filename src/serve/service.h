@@ -24,18 +24,16 @@
 #include "serve/request_batcher.h"
 #include "serve/request_context.h"
 #include "serve/suggestion_cache.h"
-#include "serve/thread_pool.h"
 #include "util/stopwatch.h"
 
 namespace dssddi::serve {
 
 struct ServiceOptions {
-  /// Worker threads scoring batches. 0 uses the hardware concurrency.
+  /// Scoring threads; each cuts its own batch from the request queue
+  /// whenever it is free. 0 uses the hardware concurrency.
   int num_threads = 0;
   /// Micro-batch ceiling; 1 disables batching (one matrix pass per request).
   int max_batch_size = 32;
-  /// How long an underfull batch waits for more requests, in microseconds.
-  int batch_wait_us = 200;
   /// Total cached suggestions across shards; 0 disables the cache (and
   /// with it in-flight coalescing, which rides on the same keys).
   size_t cache_capacity = 4096;
@@ -89,11 +87,11 @@ struct ServiceStats {
   uint64_t degraded_shed = 0;
   bool slo_degraded = false;
   /// Requests dropped after admission because their deadline passed
-  /// before scoring started (batcher/worker expiry sweeps; completed
+  /// before scoring started (the cut's expiry sweep; completed
   /// with DeadlineExceeded, never scored, never a batch slot).
   uint64_t expired = 0;
-  /// Accepted requests not yet completed / waiting for a worker, at the
-  /// instant of the snapshot.
+  /// Accepted requests not yet completed / queued and not yet cut into a
+  /// batch, at the instant of the snapshot.
   uint64_t in_flight = 0;
   uint64_t queue_depth = 0;
   /// Model snapshot bookkeeping: version starts at 1 and increases by
@@ -185,13 +183,14 @@ struct ModelSnapshot {
 ///
 /// Requests enter through `Submit` (future-based), `SubmitAsync`
 /// (callback-based, what the HTTP front-end uses) or `SubmitBatch`
-/// (blocking convenience). A RequestBatcher groups concurrent arrivals
-/// into micro-batches, a ThreadPool scores each batch in one
-/// `InferenceBundle::PredictScores` pass on the active GEMM backend
-/// (cache blocking lives inside the kernel layer, not up here), and a
-/// sharded LRU SuggestionCache short-circuits repeat (patient_id, k)
-/// queries. While a keyed query is being scored, identical arrivals
-/// coalesce onto it (singleflight) instead of queuing duplicate work.
+/// (blocking convenience). They wait in one RequestBatcher queue; each
+/// scoring thread, when free, cuts whatever is queued into a micro-batch
+/// and scores it in one `InferenceBundle::PredictScores` pass on the
+/// active GEMM backend (cache blocking lives inside the kernel layer,
+/// not up here). A sharded LRU SuggestionCache short-circuits repeat
+/// (patient_id, k) queries. While a keyed query is being scored,
+/// identical arrivals coalesce onto it (singleflight) instead of queuing
+/// duplicate work.
 /// Results are bit-identical to calling `InferenceBundle::Suggest` (and
 /// therefore `DssddiSystem::Suggest`) per patient: batching changes only
 /// how rows are grouped, never the per-row arithmetic.
@@ -211,10 +210,10 @@ struct ModelSnapshot {
 /// time is shed as kShedDeadline before it wastes a batch slot.
 ///
 /// Deadline propagation past admission: each request's RequestContext
-/// travels with it, the batcher sweeps already-expired requests out
-/// *before* scoring (completing them with DeadlineExceeded, counted in
-/// `expired`) and forms batches oldest-deadline-first, and the scoring
-/// worker re-checks on pickup. A singleflight waiter coalesced onto a
+/// travels with it, and the worker cutting a batch sweeps
+/// already-expired requests out *before* scoring (completing them with
+/// DeadlineExceeded, counted in `expired`) and forms the batch
+/// oldest-deadline-first. A singleflight waiter coalesced onto a
 /// leader inherits the leader's fate: if the leader expires, everyone
 /// riding it fails with DeadlineExceeded too (they asked the identical
 /// question; under deadline pressure re-scoring it for a follower would
@@ -268,7 +267,7 @@ class SuggestionService {
   uint64_t model_version() const { return snapshot()->version; }
   int feature_width() const { return snapshot()->feature_width(); }
 
-  /// Requests waiting in the batcher plus batches waiting for a worker.
+  /// Requests queued and not yet cut into a batch by a worker.
   size_t QueueDepth() const;
 
   /// The service's metrics registry: every histogram /statsz reads is in
@@ -298,9 +297,9 @@ class SuggestionService {
   void HandleBatch(std::vector<PendingRequest> batch);
   /// Completes one already-expired request with DeadlineExceeded;
   /// counts it expired + completed. `registered` says whether the
-  /// request's key was entered in the singleflight table (batcher/worker
-  /// sweeps) — pass false on the pre-registration fail-fast path, whose
-  /// default-constructed key must never be looked up.
+  /// request's key was entered in the singleflight table (the cut's
+  /// expiry sweep) — pass false on the pre-registration fail-fast path,
+  /// whose default-constructed key must never be looked up.
   void ExpireRequest(PendingRequest& pending, bool registered = true);
   core::Suggestion BuildSuggestion(const ModelSnapshot& snapshot,
                                    const tensor::Matrix& scores, int row,
@@ -321,7 +320,7 @@ class SuggestionService {
   AdmissionController admission_;
 
   /// Declared before every component that records into them (and before
-  /// the pool/batcher whose destructors flush completions), so they are
+  /// the batcher whose destructor flushes completions), so they are
   /// constructed first and destroyed last: a completion firing during
   /// shutdown can still stamp its trace and record its latency.
   std::shared_ptr<obs::Registry> registry_;
@@ -354,11 +353,10 @@ class SuggestionService {
   /// real service time, not of how long doomed requests sat in queues.
   LatencyTracker latency_;
 
-  // Shutdown order (reverse of declaration): the batcher stops first and
-  // flushes its queue into the pool, the pool then drains and joins, and
-  // only then do the cache and snapshot go away.
+  // Shutdown order (reverse of declaration): the batcher stops intake,
+  // its workers drain the queue and join, and only then do the cache and
+  // snapshot go away.
   std::unique_ptr<SuggestionCache> cache_;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<RequestBatcher> batcher_;
 
   /// Declared last so its evaluator thread stops before anything it

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "serve/service.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "test_support.h"
+#include "worker_gate.h"
 
 namespace dssddi {
 namespace {
@@ -674,7 +676,6 @@ TEST_F(NetEndToEndTest, OverloadShedsWith429InsteadOfHanging) {
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;
   service_options.max_batch_size = 64;
-  service_options.batch_wait_us = 100000;  // park accepted requests 100ms
   service_options.admission.max_in_flight = 1;
   serve::SuggestionService service(*bundle_, service_options);
   net::SuggestFrontend frontend(&service);
@@ -682,6 +683,10 @@ TEST_F(NetEndToEndTest, OverloadShedsWith429InsteadOfHanging) {
   server_options.port = 0;
   net::HttpServer server(server_options, frontend.AsHandler());
   ASSERT_TRUE(server.Start().ok);
+  // Park the only worker: the first admitted request stays in flight
+  // until the gate opens, so every other arrival meets the bound.
+  testing::WorkerGate gate;
+  testing::ParkWorker(service, gate);
 
   const std::vector<int>& patients = dataset_->split.test;
   constexpr int kClients = 4;
@@ -719,6 +724,10 @@ TEST_F(NetEndToEndTest, OverloadShedsWith429InsteadOfHanging) {
       }
     });
   }
+  while (service.Stats().shed == 0 && failures.load() == 0) {
+    std::this_thread::yield();
+  }
+  gate.Release();
   for (auto& client : clients) client.join();
 
   EXPECT_EQ(failures.load(), 0);
@@ -965,7 +974,6 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;
   service_options.max_batch_size = 16;
-  service_options.batch_wait_us = 30000;  // 30ms window: tight budgets expire in it
   service_options.cache_capacity = 0;     // every request must cross the batcher
   serve::SuggestionService service(*bundle_, service_options);
   net::SuggestFrontend frontend(&service);
@@ -976,10 +984,39 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   ASSERT_TRUE(server.Start().ok);
 
   const std::vector<int>& patients = dataset_->split.test;
+  std::atomic<int> failures{0};
 
-  // Phase A: every request advertises an 8ms budget but the batch window
-  // is 30ms, so all of them expire inside the batcher — pre-scoring, and
-  // without ever consuming a batch slot (batches stays 0).
+  // Runs `send` (one blocking exchange) while the only worker is parked,
+  // and keeps it parked until `queued` requests wait in the batcher and
+  // then past the 8ms tight budget, so a tight request among them
+  // expires in the queue. A tight request the admission gate answers
+  // itself (deadline shed) never queues; the worker is freed at once.
+  std::atomic<int> parked{0};
+  const auto behind_parked_worker = [&](size_t queued,
+                                        const std::function<void()>& send) {
+    testing::WorkerGate gate;
+    testing::ParkWorker(service, gate);
+    parked.fetch_add(1);
+    std::atomic<bool> answered{false};
+    std::thread sender([&] {
+      send();
+      answered.store(true);
+    });
+    while (service.QueueDepth() < queued && !answered.load() &&
+           failures.load() == 0) {
+      std::this_thread::yield();
+    }
+    if (!answered.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    gate.Release();
+    sender.join();
+  };
+
+  // Phase A: every request advertises an 8ms budget and waits behind the
+  // parked worker for longer than that, so all of them expire inside the
+  // batcher — pre-scoring, and without ever consuming a batch slot (the
+  // only batches are the parking requests').
   {
     net::HttpClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok);
@@ -987,34 +1024,41 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
     tight.deadline_ms = 5000;          // client keeps waiting for the 504
     tight.advertise_deadline_ms = 8;   // ...but hands the server 8ms
     for (int i = 0; i < 6; ++i) {
-      net::ClientResponse response;
-      ASSERT_TRUE(client.Request("POST", "/v1/suggest",
-                                 SuggestBody(patients[i % patients.size()], 3,
-                                             false),
-                                 tight, &response)
-                      .ok);
-      EXPECT_EQ(response.status, 504) << response.body;
+      behind_parked_worker(1, [&] {
+        net::ClientResponse response;
+        ASSERT_TRUE(client.Request("POST", "/v1/suggest",
+                                   SuggestBody(patients[i % patients.size()], 3,
+                                               false),
+                                   tight, &response)
+                        .ok);
+        EXPECT_EQ(response.status, 504) << response.body;
+      });
     }
     const serve::ServiceStats stats = service.Stats();
+    const uint64_t parking = static_cast<uint64_t>(parked.load());
     EXPECT_EQ(stats.expired, 6u);
-    EXPECT_EQ(stats.batches, 0u) << "an expired request consumed a batch slot";
-    EXPECT_EQ(stats.completed, 6u);
+    EXPECT_EQ(stats.batches, parking)
+        << "an expired request consumed a batch slot";
+    EXPECT_EQ(stats.completed, 6u + parking);
   }
 
   // Phase B: reload under sustained mixed-deadline load. Generous
   // budgets keep getting exactly one model's bit-exact answer through
-  // the swap; tight budgets keep getting 504s; nobody hangs.
+  // the swap; tight budgets keep getting 504s; nobody hangs. Each tight
+  // request waits behind the parked worker until both generous clients
+  // have queued too, so the swap lands among queued mixed traffic.
   std::vector<core::Suggestion> expect_old, expect_new;
   for (const int patient : patients) {
     expect_old.push_back(system_->Suggest(*dataset_, patient, 3));
     expect_new.push_back(other_system_->Suggest(*dataset_, patient, 3));
   }
-  std::atomic<bool> stop{false};
-  std::atomic<int> failures{0};
+  std::atomic<bool> stop{false};            // main thread -> tight client
+  std::atomic<bool> generous_stop{false};   // tight client -> generous ones
   std::atomic<int> served{0};
   std::atomic<int> timed_out{0};
+  constexpr int kGenerousClients = 2;
   std::vector<std::thread> clients;
-  for (int t = 0; t < 2; ++t) {  // generous-budget clients
+  for (int t = 0; t < kGenerousClients; ++t) {
     clients.emplace_back([&, t] {
       net::HttpClient client;
       if (!client.Connect("127.0.0.1", server.port()).ok) {
@@ -1023,7 +1067,7 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
       }
       net::ClientRequestOptions generous;
       generous.deadline_ms = 10000;
-      for (int i = 0; !stop.load(); ++i) {
+      for (int i = 0; !generous_stop.load(); ++i) {
         const size_t index = (t * 7 + i) % patients.size();
         net::ClientResponse response;
         if (!client.Request("POST", "/v1/suggest",
@@ -1044,23 +1088,29 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
     net::HttpClient client;
     if (!client.Connect("127.0.0.1", server.port()).ok) {
       failures.fetch_add(100);
+      generous_stop.store(true);
       return;
     }
     net::ClientRequestOptions tight;
     tight.deadline_ms = 5000;
     tight.advertise_deadline_ms = 8;
-    for (int i = 0; !stop.load(); ++i) {
-      net::ClientResponse response;
-      if (!client.Request("POST", "/v1/suggest",
-                          SuggestBody(patients[i % patients.size()], 3, false),
-                          tight, &response)
-               .ok ||
-          response.status != 504) {
-        failures.fetch_add(1);
-        return;
-      }
-      timed_out.fetch_add(1);
+    // The generous clients stop only between tight requests, so each
+    // parked round sees all three clients queue.
+    for (int i = 0; !stop.load() && failures.load() == 0; ++i) {
+      behind_parked_worker(kGenerousClients + 1, [&] {
+        net::ClientResponse response;
+        if (!client.Request("POST", "/v1/suggest",
+                            SuggestBody(patients[i % patients.size()], 3, false),
+                            tight, &response)
+                 .ok ||
+            response.status != 504) {
+          failures.fetch_add(1);
+          return;
+        }
+        timed_out.fetch_add(1);
+      });
     }
+    generous_stop.store(true);
   });
 
   while (served.load() < 15 && failures.load() == 0) std::this_thread::yield();
@@ -1083,7 +1133,7 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(timed_out.load(), 0);
   const serve::ServiceStats stats = service.Stats();
-  // Every tight request was dropped by the batcher/worker sweep or the
+  // Every tight request was dropped by the cut's expiry sweep or the
   // deadline-aware admission gate — never scored, all answered 504.
   EXPECT_EQ(stats.expired + stats.deadline_shed,
             6u + static_cast<uint64_t>(timed_out.load()));

@@ -27,6 +27,7 @@
 #include "serve/thread_pool.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "test_support.h"
+#include "worker_gate.h"
 
 namespace dssddi {
 namespace {
@@ -233,19 +234,37 @@ TEST(SuggestionCacheTest, ThreadSafeUnderConcurrentHammering) {
 // RequestBatcher
 // ---------------------------------------------------------------------
 
+// Every test parks the batcher's single worker on a sacrificial request
+// first: completions run on the worker, so while the parking request's
+// completion blocks, later arrivals queue up deterministically and the
+// next cut sees all of them.
+constexpr int64_t kParkingId = 99;
+
+void ParkBatcher(serve::RequestBatcher& batcher, testing::WorkerGate& gate) {
+  serve::Request request;
+  request.patient_id = kParkingId;
+  batcher.Enqueue(std::move(request), {}, gate.Completion());
+  gate.WaitParked();
+}
+
+bool IsParkingBatch(const std::vector<serve::PendingRequest>& batch) {
+  return batch.size() == 1 && batch.front().request.patient_id == kParkingId;
+}
+
 TEST(RequestBatcherTest, GroupsRequestsUpToBatchCeiling) {
   std::mutex mutex;
   std::vector<size_t> batch_sizes;
   serve::RequestBatcher::Options options;
   options.max_batch_size = 4;
-  options.max_wait_us = 20000;  // generous so a burst lands in few batches
   serve::RequestBatcher batcher(options, [&](std::vector<serve::PendingRequest> batch) {
-    {
+    if (!IsParkingBatch(batch)) {
       std::lock_guard<std::mutex> lock(mutex);
       batch_sizes.push_back(batch.size());
     }
     for (auto& pending : batch) pending.Complete({});
   });
+  testing::WorkerGate gate;
+  ParkBatcher(batcher, gate);
 
   std::vector<std::promise<core::Suggestion>> promises(10);
   std::vector<std::future<core::Suggestion>> futures;
@@ -260,6 +279,7 @@ TEST(RequestBatcherTest, GroupsRequestsUpToBatchCeiling) {
                       promises[i].set_value(std::move(suggestion));
                     });
   }
+  gate.Release();
   for (auto& future : futures) future.get();
 
   std::lock_guard<std::mutex> lock(mutex);
@@ -270,28 +290,75 @@ TEST(RequestBatcherTest, GroupsRequestsUpToBatchCeiling) {
     total += size;
   }
   EXPECT_EQ(total, 10u);
-  EXPECT_EQ(batcher.requests_dispatched(), 10u);
-  EXPECT_EQ(batcher.batches_dispatched(), batch_sizes.size());
+  // The parking request is one more request in one more batch.
+  EXPECT_EQ(batcher.requests_dispatched(), 10u + 1u);
+  EXPECT_EQ(batcher.batches_dispatched(), batch_sizes.size() + 1u);
+}
+
+TEST(RequestBatcherTest, RequestsQueuedBehindABusyWorkerAreCutAsOneBatch) {
+  // No window holds a batch open: what forms a batch is the worker being
+  // busy. Everything that queued while it was (up to the ceiling) leaves
+  // in the next cut, as one matrix pass.
+  constexpr int kQueued = 20;
+  std::mutex mutex;
+  std::vector<size_t> batch_sizes;
+  std::atomic<int> completions{0};
+  serve::RequestBatcher::Options options;
+  options.max_batch_size = 32;
+  serve::RequestBatcher batcher(options, [&](std::vector<serve::PendingRequest> batch) {
+    if (!IsParkingBatch(batch)) {
+      std::lock_guard<std::mutex> lock(mutex);
+      batch_sizes.push_back(batch.size());
+    }
+    for (auto& pending : batch) {
+      pending.Complete({});
+      completions.fetch_add(1);
+    }
+  });
+  testing::WorkerGate gate;
+  ParkBatcher(batcher, gate);
+  for (int i = 0; i < kQueued; ++i) {
+    batcher.Enqueue({}, {},
+                    [](core::Suggestion, std::shared_ptr<const serve::ModelSnapshot>,
+                       std::exception_ptr) {});
+  }
+  EXPECT_EQ(batcher.QueueDepth(), static_cast<size_t>(kQueued));
+  gate.Release();
+  while (completions.load() < kQueued + 1) std::this_thread::yield();
+
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{kQueued}));
+  EXPECT_EQ(batcher.batches_dispatched(), 2u);  // the parking batch + one
+  EXPECT_EQ(batcher.QueueDepth(), 0u);
 }
 
 TEST(RequestBatcherTest, FlushesQueueOnDestruction) {
   std::atomic<int> handled{0};
+  testing::WorkerGate gate;
+  std::thread releaser;
   {
     serve::RequestBatcher::Options options;
     options.max_batch_size = 64;
-    options.max_wait_us = 10'000'000;  // would wait 10s without the flush
     serve::RequestBatcher batcher(options, [&](std::vector<serve::PendingRequest> batch) {
       handled.fetch_add(static_cast<int>(batch.size()));
       for (auto& pending : batch) pending.Complete({});
     });
+    ParkBatcher(batcher, gate);
     for (int i = 0; i < 5; ++i) {
       batcher.Enqueue({}, {},
                       [](core::Suggestion, std::shared_ptr<const serve::ModelSnapshot>,
                          std::exception_ptr) {});
     }
-    // Destructor must flush the 5 queued requests without the timeout.
+    // Free the worker only once the destructor below has stopped intake,
+    // so the 5 requests are still queued when shutdown begins.
+    releaser = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate.Release();
+    });
+    // Destructor must flush the 5 queued requests, not drop them.
   }
-  EXPECT_EQ(handled.load(), 5);
+  releaser.join();
+  EXPECT_EQ(handled.load(), 5 + 1);  // + the parking request
 }
 
 TEST(RequestBatcherTest, SweepsExpiredAndOrdersBatchOldestDeadlineFirst) {
@@ -303,11 +370,10 @@ TEST(RequestBatcherTest, SweepsExpiredAndOrdersBatchOldestDeadlineFirst) {
 
   serve::RequestBatcher::Options options;
   options.max_batch_size = 10;   // never filled: one cut takes everything
-  options.max_wait_us = 50000;   // all four requests land inside the window
   serve::RequestBatcher batcher(
       options,
       [&](std::vector<serve::PendingRequest> batch) {
-        {
+        if (!IsParkingBatch(batch)) {
           std::lock_guard<std::mutex> lock(mutex);
           batches.emplace_back();
           for (const auto& pending : batch) {
@@ -332,6 +398,9 @@ TEST(RequestBatcherTest, SweepsExpiredAndOrdersBatchOldestDeadlineFirst) {
           completions.fetch_add(1);
         }
       });
+  // All four requests queue behind the parked worker.
+  testing::WorkerGate gate;
+  ParkBatcher(batcher, gate);
 
   // Enqueue out of deadline order: id 1 has the latest deadline, id 3
   // the earliest live one, id 9 is already expired on arrival.
@@ -349,17 +418,19 @@ TEST(RequestBatcherTest, SweepsExpiredAndOrdersBatchOldestDeadlineFirst) {
   enqueue(1, now + std::chrono::milliseconds(300));
   enqueue(2, now + std::chrono::milliseconds(200));
   enqueue(3, now + std::chrono::milliseconds(100));
+  gate.Release();
 
-  while (completions.load() < 4) std::this_thread::yield();
+  while (completions.load() < 4 + 1) std::this_thread::yield();
 
   std::lock_guard<std::mutex> lock(mutex);
   ASSERT_EQ(expired_ids.size(), 1u);
   EXPECT_EQ(expired_ids[0], 9);  // swept before scoring, no batch slot
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0], (std::vector<int64_t>{3, 2, 1}));  // oldest first
+  // Counters include the parking request's batch.
   const auto counters = batcher.dispatch_counters();
-  EXPECT_EQ(counters.batches, 1u);
-  EXPECT_EQ(counters.requests, 3u);
+  EXPECT_EQ(counters.batches, 1u + 1u);
+  EXPECT_EQ(counters.requests, 3u + 1u);
   EXPECT_EQ(counters.expired, 1u);
 }
 
@@ -369,11 +440,10 @@ TEST(RequestBatcherTest, NoDeadlineRequestsSortAfterDeadlinesAndKeepFifo) {
   std::atomic<int> completions{0};
   serve::RequestBatcher::Options options;
   options.max_batch_size = 10;
-  options.max_wait_us = 50000;
   serve::RequestBatcher batcher(
       options,
       [&](std::vector<serve::PendingRequest> batch) {
-        {
+        if (!IsParkingBatch(batch)) {
           std::lock_guard<std::mutex> lock(mutex);
           for (const auto& pending : batch) {
             order.push_back(pending.request.patient_id);
@@ -385,6 +455,8 @@ TEST(RequestBatcherTest, NoDeadlineRequestsSortAfterDeadlinesAndKeepFifo) {
         }
       },
       [](std::vector<serve::PendingRequest>) { FAIL() << "nothing expires"; });
+  testing::WorkerGate gate;
+  ParkBatcher(batcher, gate);
 
   const auto now = std::chrono::steady_clock::now();
   const auto enqueue = [&](int64_t id, bool with_deadline) {
@@ -401,8 +473,9 @@ TEST(RequestBatcherTest, NoDeadlineRequestsSortAfterDeadlinesAndKeepFifo) {
   enqueue(10, /*with_deadline=*/false);
   enqueue(11, /*with_deadline=*/false);
   enqueue(12, /*with_deadline=*/true);
+  gate.Release();
 
-  while (completions.load() < 3) std::this_thread::yield();
+  while (completions.load() < 3 + 1) std::this_thread::yield();
   std::lock_guard<std::mutex> lock(mutex);
   // The deadline-carrying request jumps the line; the no-deadline pair
   // keeps its arrival order behind it.
@@ -410,29 +483,19 @@ TEST(RequestBatcherTest, NoDeadlineRequestsSortAfterDeadlinesAndKeepFifo) {
 }
 
 TEST(RequestBatcherTest, OverdueRequestClaimsASlotDespiteUrgencyOrder) {
-  // A no-deadline request that has waited past the batch window is the
-  // overdue FIFO head and must claim a slot even though every
-  // deadline-carrying request outranks it on urgency — deadline traffic
-  // can never starve it. The handler stalls the dispatcher on a
-  // sacrificial first batch so the real queue builds (and ages past the
-  // window) deterministically, with no cut racing the enqueues.
+  // The longest-waiting request is the FIFO head and must claim a slot
+  // even though every deadline-carrying request outranks it on urgency —
+  // deadline traffic can never starve it. The queue builds behind the
+  // parked worker, so no cut races the enqueues.
   std::mutex mutex;
   std::vector<std::vector<int64_t>> batches;
   std::atomic<int> completions{0};
-  std::atomic<bool> stalled{false};
-  std::atomic<bool> release{false};
   serve::RequestBatcher::Options options;
   options.max_batch_size = 2;
-  options.max_wait_us = 30000;
   serve::RequestBatcher batcher(
       options,
       [&](std::vector<serve::PendingRequest> batch) {
-        if (batch.front().request.patient_id == 99) {
-          stalled.store(true);
-          while (!release.load()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-        } else {
+        if (!IsParkingBatch(batch)) {
           std::lock_guard<std::mutex> lock(mutex);
           batches.emplace_back();
           for (const auto& pending : batch) {
@@ -445,6 +508,8 @@ TEST(RequestBatcherTest, OverdueRequestClaimsASlotDespiteUrgencyOrder) {
         }
       },
       [](std::vector<serve::PendingRequest>) { FAIL() << "nothing expires"; });
+  testing::WorkerGate gate;
+  ParkBatcher(batcher, gate);
 
   const auto enqueue = [&](int64_t id, int deadline_ms) {
     serve::Request request;
@@ -458,20 +523,16 @@ TEST(RequestBatcherTest, OverdueRequestClaimsASlotDespiteUrgencyOrder) {
                        std::shared_ptr<const serve::ModelSnapshot>,
                        std::exception_ptr) {});
   };
-  enqueue(99, 0);  // sacrificial: parks the dispatcher in the handler
-  while (!stalled.load()) std::this_thread::yield();
-  enqueue(20, 0);     // no deadline, enqueued first -> overdue FIFO head
+  enqueue(20, 0);     // no deadline, enqueued first -> FIFO head
   enqueue(21, 2000);  // both outrank id 20 on urgency...
   enqueue(22, 1000);
-  // Age the queue past the 30ms window, then let the dispatcher cut.
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  release.store(true);
+  gate.Release();
 
-  while (completions.load() < 4) std::this_thread::yield();
+  while (completions.load() < 3 + 1) std::this_thread::yield();
   std::lock_guard<std::mutex> lock(mutex);
   ASSERT_EQ(batches.size(), 2u);
-  // First cut (2 slots): most urgent (22) plus the overdue head (20) —
-  // NOT the two deadline requests. Second cut drains 21.
+  // First cut (2 slots): most urgent (22) plus the FIFO head (20) — NOT
+  // the two deadline requests. Second cut drains 21.
   EXPECT_EQ(batches[0], (std::vector<int64_t>{22, 20}));
   EXPECT_EQ(batches[1], (std::vector<int64_t>{21}));
 }
@@ -542,7 +603,6 @@ TEST_F(SuggestionServiceTest, MatchesDirectSuggestForEveryTestPatient) {
   serve::ServiceOptions options;
   options.num_threads = 4;
   options.max_batch_size = 8;
-  options.batch_wait_us = 500;
   serve::SuggestionService service(*bundle_, options);
 
   constexpr int kK = 3;
@@ -972,9 +1032,11 @@ TEST_F(SuggestionServiceTest, TrySubmitShedsWhenInFlightBoundIsHit) {
   serve::ServiceOptions options;
   options.num_threads = 1;
   options.max_batch_size = 64;
-  options.batch_wait_us = 200000;  // hold the batch open: requests stay in flight
   options.admission.max_in_flight = 1;
   serve::SuggestionService service(*bundle_, options);
+  // Park the only worker so admitted requests stay in flight.
+  testing::WorkerGate gate;
+  testing::ParkWorker(service, gate);
 
   std::promise<core::Suggestion> first_done;
   ASSERT_EQ(service.TrySubmitAsync(
@@ -985,18 +1047,66 @@ TEST_F(SuggestionServiceTest, TrySubmitShedsWhenInFlightBoundIsHit) {
                   first_done.set_value(std::move(suggestion));
                 }),
             serve::AdmissionController::Decision::kAdmit);
-  // The first request is parked in the batcher window, so the gate must
-  // shed the second arrival instead of queuing it.
+  // The first request is queued behind the parked worker, so the gate
+  // must shed the second arrival instead of queuing it.
   EXPECT_EQ(service.TrySubmitAsync(
                 RequestFor(dataset_->split.test[1], 3),
                 [](core::Suggestion, std::shared_ptr<const serve::ModelSnapshot>,
                    std::exception_ptr) { FAIL() << "shed request ran"; }),
             serve::AdmissionController::Decision::kShedLoad);
 
+  gate.Release();
   first_done.get_future().get();
   const serve::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.admitted, 1u);
   EXPECT_EQ(stats.shed, 1u);
+}
+
+TEST_F(SuggestionServiceTest, QueueDepthBoundCountsQueuedRequests) {
+  // max_queue_depth is a bound on requests. With the worker parked, the
+  // shed must come at exactly that many queued requests — not later, as
+  // it would if queued batches counted once each.
+  constexpr size_t kMaxQueued = 5;
+  serve::ServiceOptions options;
+  options.num_threads = 1;
+  options.max_batch_size = 64;
+  options.cache_capacity = 0;  // no coalescing: every admit is queued
+  options.admission.max_queue_depth = kMaxQueued;
+  serve::SuggestionService service(*bundle_, options);
+  testing::WorkerGate gate;
+  testing::ParkWorker(service, gate);
+
+  std::vector<std::future<core::Suggestion>> admitted;
+  const std::vector<int>& patients = dataset_->split.test;
+  for (size_t i = 0; i < kMaxQueued; ++i) {
+    auto promise = std::make_shared<std::promise<core::Suggestion>>();
+    admitted.push_back(promise->get_future());
+    ASSERT_EQ(service.TrySubmitAsync(
+                  RequestFor(patients[i % patients.size()], 3),
+                  [promise](core::Suggestion suggestion,
+                            std::shared_ptr<const serve::ModelSnapshot>,
+                            std::exception_ptr) {
+                    promise->set_value(std::move(suggestion));
+                  }),
+              serve::AdmissionController::Decision::kAdmit)
+        << "shed with only " << i << " requests queued";
+  }
+  // Only a free worker cuts, so however long they wait, all of them are
+  // still queued requests when the next arrival is judged.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(service.QueueDepth(), kMaxQueued);
+  EXPECT_EQ(service.TrySubmitAsync(
+                RequestFor(patients[0], 3),
+                [](core::Suggestion, std::shared_ptr<const serve::ModelSnapshot>,
+                   std::exception_ptr) { FAIL() << "shed request ran"; }),
+            serve::AdmissionController::Decision::kShedLoad);
+
+  gate.Release();
+  for (auto& future : admitted) future.get();
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.admitted, kMaxQueued);
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST_F(SuggestionServiceTest, ExpiredRequestFailsWithDeadlineExceededUnscored) {
