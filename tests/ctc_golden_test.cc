@@ -1,11 +1,12 @@
 // Golden digests for the closest-truss-community explainer. CTC output
 // is what a doctor reads, so any change to the truss or CTC code must
 // leave every explanation byte-identical: same found flag, vertices,
-// edge ids, trussness, diameter and query distance. The digests below
-// were captured from the original (pre-index, per-query global
-// decomposition) implementation; a faster rewrite must reproduce them
-// unchanged. If one fails, the explanations changed: fix the code, do
-// not re-capture the digest.
+// edge ids, trussness, diameter and query distance. The first two
+// digests below were captured from the original (pre-index, per-query
+// global decomposition) implementation, the wide-query ones from the
+// truss-indexed implementation with a CSR local search; a faster
+// rewrite must reproduce them unchanged. If one fails, the explanations
+// changed: fix the code, do not re-capture the digest.
 
 #include <cstdint>
 #include <utility>
@@ -122,6 +123,45 @@ TEST(CtcGoldenTest, DdiSkeletonQueriesMatchCapturedDigest) {
     AddCommunity(digest, algo::FindClosestTrussCommunity(skeleton, query));
   }
   EXPECT_EQ(digest.value(), 0x32ec67e7b1f04fbaULL);
+}
+
+// Wide queries: the expansion limit 4|Q| + 16 exceeds 64, so the
+// candidate subgraph needs more than one 64-bit word per adjacency row.
+
+/// |Q| distinct query vertices in draw order.
+std::vector<int> WideQuery(int n, int q, util::Rng& rng) {
+  std::vector<int> query;
+  for (int v : rng.SampleWithoutReplacement(n, q)) query.push_back(v);
+  return query;
+}
+
+TEST(CtcGoldenTest, WideQueriesOnRandomGraphsMatchCapturedDigest) {
+  constexpr int kQuerySizes[] = {13, 16, 20};
+  Fnv1a digest;
+  for (int seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(static_cast<uint64_t>(1000 + seed));
+    const int n = static_cast<int>(rng.UniformInt(150, 300));
+    const double p = rng.Uniform(0.03, 0.2);
+    const Graph g = RandomGraph(n, p, seed % 5 != 0, rng);
+    const std::vector<int> query = WideQuery(n, kQuerySizes[seed % 3], rng);
+    AddCommunity(digest, algo::FindClosestTrussCommunity(g, query));
+  }
+  EXPECT_EQ(digest.value(), 0xdcab0d2cbe866150ULL);
+}
+
+TEST(CtcGoldenTest, WideDdiSkeletonQueriesMatchCapturedDigest) {
+  // 16-drug sets on the served skeleton, as bench_micro's
+  // BM_CtcQueryWide draws them: an 80-vertex expansion limit on 86 drugs.
+  const graph::SignedGraph ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
+  const Graph skeleton = ddi.InteractionSkeleton();
+  const std::vector<int> truss = algo::TrussDecomposition(skeleton);
+  util::Rng rng(5);
+  Fnv1a digest;
+  for (int i = 0; i < 300; ++i) {
+    const std::vector<int> query = WideQuery(skeleton.num_vertices(), 16, rng);
+    AddCommunity(digest, algo::FindClosestTrussCommunity(skeleton, truss, query));
+  }
+  EXPECT_EQ(digest.value(), 0x8177b00212789d31ULL);
 }
 
 }  // namespace
