@@ -98,17 +98,18 @@ void BM_TrussDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_TrussDecomposition)->Arg(100)->Arg(300)->Arg(600);
 
-/// 3-drug CTC queries on the 86-drug interaction skeleton. `indexed`
-/// is the served path: the skeleton's truss numbers are computed once,
-/// outside the loop, as MsModule does per model snapshot.
-void CtcQueries(benchmark::State& state, bool indexed) {
+/// CTC queries of `query_size` drugs on the 86-drug interaction
+/// skeleton. `indexed` is the served path: the skeleton's truss numbers
+/// are computed once, outside the loop, as MsModule does per model
+/// snapshot.
+void CtcQueries(benchmark::State& state, bool indexed, int query_size) {
   const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
   const auto skeleton = ddi.InteractionSkeleton();
   const std::vector<int> truss = algo::TrussDecomposition(skeleton);
   util::Rng rng(5);
   for (auto _ : state) {
     std::vector<int> query;
-    for (int q : rng.SampleWithoutReplacement(skeleton.num_vertices(), 3)) {
+    for (int q : rng.SampleWithoutReplacement(skeleton.num_vertices(), query_size)) {
       query.push_back(q);
     }
     benchmark::DoNotOptimize(indexed
@@ -117,11 +118,16 @@ void CtcQueries(benchmark::State& state, bool indexed) {
   }
 }
 
-void BM_CtcQuery(benchmark::State& state) { CtcQueries(state, true); }
+void BM_CtcQuery(benchmark::State& state) { CtcQueries(state, true, 3); }
 BENCHMARK(BM_CtcQuery);
 
-void BM_CtcQueryNoIndex(benchmark::State& state) { CtcQueries(state, false); }
+void BM_CtcQueryNoIndex(benchmark::State& state) { CtcQueries(state, false, 3); }
 BENCHMARK(BM_CtcQueryNoIndex);
+
+/// 16-drug queries: an 80-vertex expansion limit, so the candidate
+/// subgraph's adjacency rows span two 64-bit words.
+void BM_CtcQueryWide(benchmark::State& state) { CtcQueries(state, true, 16); }
+BENCHMARK(BM_CtcQueryWide);
 
 void BM_KMeans(benchmark::State& state) {
   util::Rng rng(6);

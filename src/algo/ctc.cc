@@ -1,8 +1,10 @@
 #include "algo/ctc.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "algo/steiner.h"
 #include "algo/truss.h"
@@ -14,112 +16,170 @@ namespace {
 
 constexpr int kInfDist = std::numeric_limits<int>::max() / 2;
 
-/// BFS over edges that are alive and whose endpoints are alive, into
-/// `dist` (kInfDist where unreached); `queue` is a reusable work buffer.
-void BfsAliveEdges(const graph::Graph& g, int source,
-                   const std::vector<char>& alive_vertex,
-                   const std::vector<char>& alive_edge, std::vector<int>& dist,
-                   std::vector<int>& queue) {
-  dist.assign(g.num_vertices(), kInfDist);
-  if (!alive_vertex[source]) return;
-  queue.clear();
-  dist[source] = 0;
-  queue.push_back(source);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const int v = queue[head];
-    const auto nbrs = g.Neighbors(v);
-    const auto eids = g.IncidentEdges(v);
-    for (int i = 0; i < nbrs.size(); ++i) {
-      const int u = nbrs.begin()[i];
-      if (!alive_edge[eids.begin()[i]] || !alive_vertex[u]) continue;
-      if (dist[u] == kInfDist) {
-        dist[u] = dist[v] + 1;
-        queue.push_back(u);
-      }
+using Bits = std::vector<uint64_t>;
+
+bool TestBit(const uint64_t* bits, int v) { return (bits[v >> 6] >> (v & 63)) & 1; }
+void SetBit(uint64_t* bits, int v) { bits[v >> 6] |= uint64_t{1} << (v & 63); }
+void ClearBit(uint64_t* bits, int v) { bits[v >> 6] &= ~(uint64_t{1} << (v & 63)); }
+
+/// Calls visit(v) for every set bit v of word(0) .. word(words - 1), in
+/// ascending order; `word` may combine several bitsets on the fly.
+template <typename Word, typename Visit>
+void ForEachBit(int words, Word&& word, Visit&& visit) {
+  for (int w = 0; w < words; ++w) {
+    for (uint64_t bits = word(w); bits != 0; bits &= bits - 1) {
+      visit(64 * w + __builtin_ctzll(bits));
     }
   }
 }
 
-/// Per-vertex query distance into `result`: max BFS distance to any
-/// query vertex. Returns whether the query is connected, i.e. every
-/// query vertex is reachable from every other.
-bool QueryDistances(const graph::Graph& g, const std::vector<int>& query,
-                    const std::vector<char>& alive_vertex,
-                    const std::vector<char>& alive_edge, std::vector<int>& result,
-                    std::vector<int>& dist, std::vector<int>& queue) {
-  result.assign(g.num_vertices(), 0);
-  for (int q : query) {
-    BfsAliveEdges(g, q, alive_vertex, alive_edge, dist, queue);
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      result[v] = std::max(result[v], dist[v]);
-    }
-  }
-  for (int q : query) {
-    if (result[q] >= kInfDist) return false;
-  }
-  return true;
-}
+/// The candidate subgraph as word-packed adjacency rows: bit v of row u
+/// is set iff edge {u, v} is alive. A dead vertex has an empty row and
+/// no bit in any other row, so edges need no alive flags of their own.
+class BitRows {
+ public:
+  explicit BitRows(int n)
+      : n_(n), words_((n + 63) / 64), bits_(static_cast<size_t>(n) * words_, 0) {}
 
-/// Removes edges whose alive support drops below p-2 (cascading), then
-/// kills vertices with no alive incident edges. Query vertices are never
-/// killed here; if one ends up isolated the caller detects disconnection.
-/// The alive edges plus `removed` must have formed a p-truss, so only
-/// edges that shared a triangle with a removed edge can have fallen
-/// below p-2; the maximal p-truss left is the same whatever the order.
-void MaintainPTruss(const graph::Graph& g, int p, std::vector<char>& alive_vertex,
-                    std::vector<char>& alive_edge, const std::vector<char>& is_query,
-                    const std::vector<int>& removed, std::vector<int>& to_check) {
-  auto edge_alive = [&](int e) {
-    auto [u, v] = g.Edge(e);
-    return alive_edge[e] && alive_vertex[u] && alive_vertex[v];
-  };
-  auto support_of = [&](int e) {
-    auto [u, v] = g.Edge(e);
-    if (g.Degree(u) > g.Degree(v)) std::swap(u, v);
+  int n() const { return n_; }
+  int words() const { return words_; }
+  const uint64_t* Row(int u) const { return bits_.data() + static_cast<size_t>(u) * words_; }
+  bool Has(int u, int v) const { return TestBit(Row(u), v); }
+  void Add(int u, int v) {
+    SetBit(MutableRow(u), v);
+    SetBit(MutableRow(v), u);
+  }
+  void Remove(int u, int v) {
+    ClearBit(MutableRow(u), v);
+    ClearBit(MutableRow(v), u);
+  }
+  /// Drops every edge at u.
+  void Isolate(int u) {
+    ForEachBit(words_, [&](int w) { return Row(u)[w]; },
+               [&](int v) { ClearBit(MutableRow(v), u); });
+    std::fill_n(MutableRow(u), words_, 0);
+  }
+  bool Isolated(int u) const {
+    const uint64_t* row = Row(u);
+    return std::all_of(row, row + words_, [](uint64_t w) { return w == 0; });
+  }
+  bool Empty() const {
+    return std::all_of(bits_.begin(), bits_.end(), [](uint64_t w) { return w == 0; });
+  }
+  /// sup({u, v}): the common neighbors of u and v.
+  int Support(int u, int v) const {
     int support = 0;
-    for (int w : g.Neighbors(u)) {
-      if (w == v || !alive_vertex[w]) continue;
-      const int e_uw = g.EdgeId(u, w);
-      const int e_vw = g.EdgeId(v, w);
-      if (e_vw >= 0 && edge_alive(e_uw) && edge_alive(e_vw)) ++support;
-    }
+    for (int w = 0; w < words_; ++w) support += __builtin_popcountll(Row(u)[w] & Row(v)[w]);
     return support;
-  };
-  // Queues the alive edges that shared a triangle with dead edge e.
-  auto push_partners = [&](int e) {
-    auto [u, v] = g.Edge(e);
-    if (g.Degree(u) > g.Degree(v)) std::swap(u, v);
-    for (int w : g.Neighbors(u)) {
-      if (w == v) continue;
-      const int e_uw = g.EdgeId(u, w);
-      const int e_vw = g.EdgeId(v, w);
-      if (e_vw >= 0) {
-        if (edge_alive(e_uw)) to_check.push_back(e_uw);
-        if (edge_alive(e_vw)) to_check.push_back(e_vw);
-      }
+  }
+  /// Calls visit(w) for every common neighbor w of u and v.
+  template <typename Visit>
+  void ForEachCommon(int u, int v, Visit&& visit) const {
+    ForEachBit(words_, [&](int w) { return Row(u)[w] & Row(v)[w]; }, visit);
+  }
+  /// Calls visit(u, v) for every alive edge, u < v, in lexicographic order.
+  template <typename Visit>
+  void ForEachEdge(Visit&& visit) const {
+    for (int u = 0; u < n_; ++u) {
+      ForEachBit(words_, [&](int w) { return Row(u)[w]; }, [&](int v) {
+        if (u < v) visit(u, v);
+      });
     }
-  };
+  }
 
-  to_check.clear();
-  for (int e : removed) push_partners(e);
-  for (size_t head = 0; head < to_check.size(); ++head) {
-    const int e = to_check[head];
-    if (!edge_alive(e)) continue;
-    if (support_of(e) >= p - 2) continue;
-    alive_edge[e] = 0;
-    push_partners(e);
+ private:
+  uint64_t* MutableRow(int u) { return bits_.data() + static_cast<size_t>(u) * words_; }
+
+  int n_;
+  int words_;
+  Bits bits_;
+};
+
+/// Breadth-first search over BitRows: each level is the OR of the
+/// frontier's rows minus what was already seen.
+class BitBfs {
+ public:
+  explicit BitBfs(int words) : seen_(words), frontier_(words), next_(words) {}
+
+  /// Calls visit(v, depth) for every vertex reachable from `source`
+  /// (source first, at depth 0), level by level. Returns the largest
+  /// depth reached; seen() is then the reached set.
+  template <typename Visit>
+  int Run(const BitRows& rows, int source, Visit&& visit) {
+    const int words = rows.words();
+    std::fill(seen_.begin(), seen_.end(), 0);
+    std::fill(frontier_.begin(), frontier_.end(), 0);
+    SetBit(seen_.data(), source);
+    SetBit(frontier_.data(), source);
+    visit(source, 0);
+    for (int depth = 1;; ++depth) {
+      std::fill(next_.begin(), next_.end(), 0);
+      ForEachBit(words, [&](int w) { return frontier_[w]; }, [&](int v) {
+        const uint64_t* row = rows.Row(v);
+        for (int w = 0; w < words; ++w) next_[w] |= row[w];
+      });
+      bool grew = false;
+      for (int w = 0; w < words; ++w) {
+        next_[w] &= ~seen_[w];
+        seen_[w] |= next_[w];
+        grew = grew || next_[w] != 0;
+      }
+      if (!grew) return depth - 1;
+      ForEachBit(words, [&](int w) { return next_[w]; },
+                 [&](int v) { visit(v, depth); });
+      frontier_.swap(next_);
+    }
   }
-  // Kill isolated non-query vertices.
-  std::vector<int> alive_degree(g.num_vertices(), 0);
-  for (int e = 0; e < g.num_edges(); ++e) {
-    if (!edge_alive(e)) continue;
-    auto [u, v] = g.Edge(e);
-    ++alive_degree[u];
-    ++alive_degree[v];
+  const Bits& seen() const { return seen_; }
+
+ private:
+  Bits seen_;
+  Bits frontier_;
+  Bits next_;
+};
+
+/// Peels `rows` down to its maximal k-truss: edges in fewer than k - 2
+/// triangles are dropped, cascading. The maximal k-truss is unique, so
+/// neither the scan order nor the cascade order matters.
+void PeelToTruss(BitRows& rows, int k, std::vector<std::pair<int, int>>& stack) {
+  stack.clear();
+  rows.ForEachEdge([&](int u, int v) {
+    if (rows.Support(u, v) < k - 2) stack.emplace_back(u, v);
+  });
+  while (!stack.empty()) {
+    const auto [u, v] = stack.back();
+    stack.pop_back();
+    if (!rows.Has(u, v) || rows.Support(u, v) >= k - 2) continue;
+    rows.Remove(u, v);
+    rows.ForEachCommon(u, v, [&](int w) {
+      stack.emplace_back(u, w);
+      stack.emplace_back(v, w);
+    });
   }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (alive_vertex[v] && alive_degree[v] == 0 && !is_query[v]) alive_vertex[v] = 0;
+}
+
+/// Whether every query vertex is reachable from the first one.
+bool QueryConnected(const BitRows& rows, const std::vector<int>& query, BitBfs& bfs) {
+  bfs.Run(rows, query.front(), [](int, int) {});
+  return std::all_of(query.begin(), query.end(),
+                     [&](int q) { return TestBit(bfs.seen().data(), q); });
+}
+
+/// Query distance of each alive vertex into `qd`: its largest BFS
+/// distance to a query vertex, kInfDist if some query vertex cannot
+/// reach it. Returns whether the query is connected.
+bool QueryDistances(const BitRows& rows, const std::vector<int>& query,
+                    const Bits& alive, std::vector<int>& qd, BitBfs& bfs) {
+  std::fill(qd.begin(), qd.end(), 0);
+  bool connected = true;
+  for (int q : query) {
+    bfs.Run(rows, q, [&](int v, int depth) { qd[v] = std::max(qd[v], depth); });
+    const Bits& seen = bfs.seen();
+    ForEachBit(rows.words(), [&](int w) { return alive[w] & ~seen[w]; },
+               [&](int v) { qd[v] = kInfDist; });
+    for (int other : query) connected = connected && TestBit(seen.data(), other);
   }
+  return connected;
 }
 
 }  // namespace
@@ -170,8 +230,9 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   for (int e : steiner.edge_ids) p_prime = std::min(p_prime, truss[e]);
   if (steiner.edge_ids.empty()) p_prime = 2;
 
-  std::vector<char> in_candidate(g.num_vertices(), 0);
-  int candidate_size = 0;
+  // Candidate membership; after the expansion, each member's local id.
+  std::vector<int> local_id(g.num_vertices(), -1);
+  std::vector<int> candidate;
   const int expansion_limit = options.expansion_limit > 0
       ? options.expansion_limit
       : 4 * static_cast<int>(unique_query.size()) + 16;
@@ -181,9 +242,9 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   std::priority_queue<Item> frontier;
   std::vector<char> edge_seen(g.num_edges(), 0);
   auto add_vertex = [&](int v) {
-    if (in_candidate[v]) return;
-    in_candidate[v] = 1;
-    ++candidate_size;
+    if (local_id[v] >= 0) return;
+    local_id[v] = 0;
+    candidate.push_back(v);
     for (int e : g.IncidentEdges(v)) {
       if (!edge_seen[e] && truss[e] >= p_prime) {
         edge_seen[e] = 1;
@@ -192,7 +253,7 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     }
   };
   for (int v : steiner.vertices) add_vertex(v);
-  while (candidate_size < expansion_limit && !frontier.empty()) {
+  while (static_cast<int>(candidate.size()) < expansion_limit && !frontier.empty()) {
     auto [t, e] = frontier.top();
     frontier.pop();
     auto [u, v] = g.Edge(e);
@@ -200,132 +261,104 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     add_vertex(v);
   }
 
-  // Step 4: local truss decomposition on the induced candidate. One
-  // decomposition gives both the query's trussness p and the maximal
-  // p-truss, which is exactly {e : truss(e) >= p}.
-  std::vector<int> new_to_old;
-  std::vector<int> candidate_vertices;
-  candidate_vertices.reserve(candidate_size);
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (in_candidate[v]) candidate_vertices.push_back(v);
+  // The induced candidate as bitset rows, local ids in ascending
+  // original id, so local edge order is the input graph's edge order.
+  std::sort(candidate.begin(), candidate.end());
+  const int n = static_cast<int>(candidate.size());
+  for (int i = 0; i < n; ++i) local_id[candidate[i]] = i;
+  BitRows rows(n);
+  for (int i = 0; i < n; ++i) {
+    for (int w : g.Neighbors(candidate[i])) {
+      if (local_id[w] > i) rows.Add(i, local_id[w]);
+    }
   }
-  const graph::Graph sub = g.InducedSubgraph(candidate_vertices, &new_to_old);
-  std::vector<int> old_to_new(g.num_vertices(), -1);
-  for (size_t i = 0; i < new_to_old.size(); ++i) old_to_new[new_to_old[i]] = static_cast<int>(i);
   std::vector<int> sub_query;
   sub_query.reserve(unique_query.size());
-  for (int q : unique_query) sub_query.push_back(old_to_new[q]);
-
-  // The Steiner tree lies inside the candidate, so the query is connected
-  // in sub (p >= 2), and by the definition of p it stays connected over
-  // the edges with truss >= p.
-  const std::vector<int> sub_truss = TrussDecomposition(sub);
-  const int p = MaxQueryTrussness(sub, sub_truss, sub_query);
-  DSSDDI_CHECK(p >= 2) << "query disconnected inside its own Steiner tree";
-  std::vector<char> alive_edge(sub.num_edges());
-  for (int e = 0; e < sub.num_edges(); ++e) alive_edge[e] = sub_truss[e] >= p;
-  std::vector<char> alive_vertex(sub.num_vertices(), 0);
-  std::vector<char> is_query(sub.num_vertices(), 0);
+  for (int q : unique_query) sub_query.push_back(local_id[q]);
+  std::vector<char> is_query(n, 0);
   for (int q : sub_query) is_query[q] = 1;
-  {
-    std::vector<int> alive_degree(sub.num_vertices(), 0);
-    for (int e = 0; e < sub.num_edges(); ++e) {
-      if (!alive_edge[e]) continue;
-      auto [u, v] = sub.Edge(e);
-      ++alive_degree[u];
-      ++alive_degree[v];
-    }
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      alive_vertex[v] = alive_degree[v] > 0 || is_query[v];
-    }
+
+  // Step 4: the query's trussness p is the largest k whose maximal
+  // k-truss (every edge in >= k - 2 triangles, i.e. {e : truss(e) >= k})
+  // is non-empty and connects the query; k-trusses nest, so peel level
+  // by level until the next one fails. The Steiner tree lies inside
+  // the candidate, so the 2-truss (every edge) connects the query.
+  BitBfs bfs(rows.words());
+  std::vector<std::pair<int, int>> stack;
+  int p = 2;
+  for (BitRows next = rows;; rows = next, ++p) {
+    PeelToTruss(next, p + 1, stack);
+    if (next.Empty() || !QueryConnected(next, sub_query, bfs)) break;
   }
-  // Restrict to the component containing the query.
-  std::vector<int> dist;
-  std::vector<int> queue;
-  BfsAliveEdges(sub, sub_query.front(), alive_vertex, alive_edge, dist, queue);
-  for (int v = 0; v < sub.num_vertices(); ++v) {
-    if (dist[v] >= kInfDist) alive_vertex[v] = 0;
-  }
-  for (int e = 0; e < sub.num_edges(); ++e) {
-    auto [u, v] = sub.Edge(e);
-    if (!alive_vertex[u] || !alive_vertex[v]) alive_edge[e] = 0;
+  // Restrict the maximal p-truss to the component containing the query.
+  bfs.Run(rows, sub_query.front(), [](int, int) {});
+  Bits alive = bfs.seen();
+  for (int v = 0; v < n; ++v) {
+    if (!TestBit(alive.data(), v)) rows.Isolate(v);
   }
 
   // Step 5: shrink — delete furthest vertices, maintain p-truss, keep the
   // iterate with the smallest query distance. Each iteration's query
   // distances are computed once and serve the next iteration's deletion.
-  std::vector<int> qd;
-  QueryDistances(sub, sub_query, alive_vertex, alive_edge, qd, dist, queue);
-  std::vector<char> best_vertex = alive_vertex;
-  std::vector<char> best_edge = alive_edge;
+  std::vector<int> qd(n, 0);
+  QueryDistances(rows, sub_query, alive, qd, bfs);
+  BitRows best_rows = rows;
+  Bits best_alive = alive;
   int best_distance = 0;
-  for (int v = 0; v < sub.num_vertices(); ++v) {
-    if (alive_vertex[v] && qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
-  }
+  ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
+    if (qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
+  });
 
-  std::vector<int> removed_edges;
-  std::vector<int> to_check;
   for (int iter = 0; iter < options.max_shrink_iterations; ++iter) {
     int community_distance = 0;
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (alive_vertex[v]) community_distance = std::max(community_distance, qd[v]);
-    }
+    ForEachBit(rows.words(), [&](int w) { return alive[w]; },
+               [&](int v) { community_distance = std::max(community_distance, qd[v]); });
     // Delete all non-query vertices at the current maximum distance.
     bool deleted = false;
     if (community_distance > 0) {
-      for (int v = 0; v < sub.num_vertices(); ++v) {
-        if (alive_vertex[v] && !is_query[v] && qd[v] >= community_distance) {
-          alive_vertex[v] = 0;
+      ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
+        if (!is_query[v] && qd[v] >= community_distance) {
+          ClearBit(alive.data(), v);
+          rows.Isolate(v);
           deleted = true;
         }
-      }
+      });
     }
     if (!deleted) break;
-    removed_edges.clear();
-    for (int e = 0; e < sub.num_edges(); ++e) {
-      auto [u, v] = sub.Edge(e);
-      if (alive_edge[e] && (!alive_vertex[u] || !alive_vertex[v])) {
-        alive_edge[e] = 0;
-        removed_edges.push_back(e);
-      }
-    }
-    MaintainPTruss(sub, p, alive_vertex, alive_edge, is_query, removed_edges, to_check);
-    if (!QueryDistances(sub, sub_query, alive_vertex, alive_edge, qd, dist, queue)) break;
+    // What is left of a p-truss after the deletion: peel it back to one,
+    // then drop the non-query vertices that lost every edge. A query
+    // vertex left isolated disconnects the query.
+    PeelToTruss(rows, p, stack);
+    ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
+      if (!is_query[v] && rows.Isolated(v)) ClearBit(alive.data(), v);
+    });
+    if (!QueryDistances(rows, sub_query, alive, qd, bfs)) break;
 
     int distance_after = 0;
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (alive_vertex[v] && qd[v] < kInfDist) {
-        distance_after = std::max(distance_after, qd[v]);
-      }
-    }
+    ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
+      if (qd[v] < kInfDist) distance_after = std::max(distance_after, qd[v]);
+    });
     if (distance_after <= best_distance) {
       best_distance = distance_after;
-      best_vertex = alive_vertex;
-      best_edge = alive_edge;
+      best_rows = rows;
+      best_alive = alive;
     }
   }
 
-  // Materialize the result in original ids.
+  // Materialize the result in original ids; edges come out in the
+  // input graph's (u < v) lexicographic order.
   result.found = true;
   result.trussness = p;
   result.query_distance = best_distance;
-  for (int v = 0; v < sub.num_vertices(); ++v) {
-    if (best_vertex[v]) result.vertices.push_back(new_to_old[v]);
-  }
-  for (int e = 0; e < sub.num_edges(); ++e) {
-    auto [u, v] = sub.Edge(e);
-    if (best_edge[e] && best_vertex[u] && best_vertex[v]) {
-      result.edge_ids.push_back(g.EdgeId(new_to_old[u], new_to_old[v]));
-    }
-  }
-  // Diameter of the returned community: its largest finite BFS distance.
-  for (int source = 0; source < sub.num_vertices(); ++source) {
-    if (!best_vertex[source]) continue;
-    BfsAliveEdges(sub, source, best_vertex, best_edge, dist, queue);
-    for (int d : dist) {
-      if (d < kInfDist) result.diameter = std::max(result.diameter, d);
-    }
-  }
+  ForEachBit(best_rows.words(), [&](int w) { return best_alive[w]; },
+             [&](int v) { result.vertices.push_back(candidate[v]); });
+  best_rows.ForEachEdge([&](int u, int v) {
+    result.edge_ids.push_back(g.EdgeId(candidate[u], candidate[v]));
+  });
+  // Diameter of the returned community: its largest eccentricity.
+  ForEachBit(best_rows.words(), [&](int w) { return best_alive[w]; }, [&](int source) {
+    result.diameter = std::max(result.diameter, bfs.Run(best_rows, source, [](int, int) {}));
+  });
   return result;
 }
 

@@ -37,6 +37,18 @@ struct CtcOptions {
 /// decomposition and maximal connected p-truss extraction; (5) iterative
 /// deletion of the vertices furthest from the query while maintaining the
 /// p-truss property; returns the iterate with the smallest query distance.
+///
+/// Steps (4)-(5) and the result run on the induced candidate subgraph as
+/// word-packed adjacency rows: n candidate vertices, in ascending input
+/// id, each row ceil(n / 64) uint64_t words, so n^2 / 8 bytes per copy
+/// (a few are live: the working rows, the best iterate, one truss level).
+/// An edge's support is popcount(row[u] & row[v]); BFS levels are ORs of
+/// the frontier's rows. The tie-breaks that fix the answer are kept:
+/// Steiner's Dijkstra pops by (distance, vertex) and relaxes on strict
+/// <, each Voronoi-cell pair is bridged by its cheapest edge (lowest id
+/// among equals), the expansion pops the largest (truss, edge id), the
+/// shrink loop keeps the last iterate among equal query distances, and
+/// edge_ids come out in the input graph's (u < v) edge order.
 ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
                                                 const std::vector<int>& query,
                                                 const CtcOptions& options = {});

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <queue>
-#include <set>
+#include <tuple>
 
 #include "util/logging.h"
 
@@ -86,9 +85,9 @@ VoronoiResult MultiSourceDijkstra(const graph::Graph& g,
 
 /// Walks predecessor pointers from `v` back to its Voronoi center,
 /// collecting edge ids.
-void CollectPathToCenter(const VoronoiResult& voronoi, int v, std::set<int>* edges) {
+void CollectPathToCenter(const VoronoiResult& voronoi, int v, std::vector<int>* edges) {
   while (voronoi.pred_edge[v] >= 0) {
-    edges->insert(voronoi.pred_edge[v]);
+    edges->push_back(voronoi.pred_edge[v]);
     v = voronoi.pred_vertex[v];
   }
 }
@@ -116,44 +115,52 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
 
   const VoronoiResult voronoi = MultiSourceDijkstra(g, terminals, edge_weights);
 
-  // Terminal distance graph: best bridging edge between Voronoi cells.
+  // Terminal distance graph: the cheapest edge between two Voronoi cells
+  // (lowest edge id among equals) bridges their terminals a < b.
+  // `slot` is a flat |terminals|^2 index into `bridges` by (a, b).
   struct Bridge {
-    double dist = kInf;
-    int edge = -1;
+    double dist;
+    int a;
+    int b;
+    int edge;
   };
-  std::map<std::pair<int, int>, Bridge> bridges;
+  const int num_terminals = static_cast<int>(terminals.size());
+  std::vector<int> slot(static_cast<size_t>(num_terminals) * num_terminals, -1);
+  std::vector<Bridge> bridges;
   for (int e = 0; e < g.num_edges(); ++e) {
     auto [u, v] = g.Edge(e);
     const int su = voronoi.nearest_terminal[u];
     const int sv = voronoi.nearest_terminal[v];
     if (su < 0 || sv < 0 || su == sv) continue;
-    const double d = voronoi.dist[u] + edge_weights[e] + voronoi.dist[v];
-    auto key = std::minmax(su, sv);
-    Bridge& bridge = bridges[{key.first, key.second}];
-    if (d < bridge.dist) bridge = {d, e};
+    const Bridge bridge{voronoi.dist[u] + edge_weights[e] + voronoi.dist[v],
+                        std::min(su, sv), std::max(su, sv), e};
+    int& index = slot[static_cast<size_t>(bridge.a) * num_terminals + bridge.b];
+    if (index < 0) {
+      index = static_cast<int>(bridges.size());
+      bridges.push_back(bridge);
+    } else if (bridge.dist < bridges[index].dist) {
+      bridges[index] = bridge;
+    }
   }
 
   // Kruskal MST over the terminal graph.
-  std::vector<std::pair<double, std::pair<int, int>>> terminal_edges;
-  terminal_edges.reserve(bridges.size());
-  for (const auto& [key, bridge] : bridges) {
-    terminal_edges.push_back({bridge.dist, key});
-  }
-  std::sort(terminal_edges.begin(), terminal_edges.end());
-  DisjointSets terminal_sets(static_cast<int>(terminals.size()));
-  std::set<int> tree_edges;
+  std::sort(bridges.begin(), bridges.end(), [](const Bridge& x, const Bridge& y) {
+    return std::tie(x.dist, x.a, x.b) < std::tie(y.dist, y.a, y.b);
+  });
+  DisjointSets terminal_sets(num_terminals);
+  std::vector<int> tree_edges;
   int merged = 0;
-  for (const auto& [dist, key] : terminal_edges) {
-    if (!terminal_sets.Union(key.first, key.second)) continue;
+  for (const Bridge& bridge : bridges) {
+    if (merged + 1 == num_terminals) break;
+    if (!terminal_sets.Union(bridge.a, bridge.b)) continue;
     ++merged;
     // Expand the bridge into actual graph edges.
-    const int bridge_edge = bridges[{key.first, key.second}].edge;
-    auto [u, v] = g.Edge(bridge_edge);
-    tree_edges.insert(bridge_edge);
+    auto [u, v] = g.Edge(bridge.edge);
+    tree_edges.push_back(bridge.edge);
     CollectPathToCenter(voronoi, u, &tree_edges);
     CollectPathToCenter(voronoi, v, &tree_edges);
   }
-  if (merged + 1 < static_cast<int>(terminals.size())) {
+  if (merged + 1 < num_terminals) {
     result.connected = false;  // terminals span multiple components
     return result;
   }
@@ -164,6 +171,7 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
   sub_edges.reserve(tree_edges.size());
   for (int e : tree_edges) sub_edges.push_back({edge_weights[e], e});
   std::sort(sub_edges.begin(), sub_edges.end());
+  sub_edges.erase(std::unique(sub_edges.begin(), sub_edges.end()), sub_edges.end());
   DisjointSets vertex_sets(g.num_vertices());
   std::vector<int> mst_edges;
   for (const auto& [w, e] : sub_edges) {
@@ -174,10 +182,9 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
   // Prune degree-1 non-terminal vertices until fixpoint.
   std::vector<char> is_terminal(g.num_vertices(), 0);
   for (int t : terminals) is_terminal[t] = 1;
-  std::vector<char> edge_alive_flags(g.num_edges(), 0);
+  std::vector<char> mst_alive(mst_edges.size(), 1);
   std::vector<int> degree(g.num_vertices(), 0);
   for (int e : mst_edges) {
-    edge_alive_flags[e] = 1;
     auto [u, v] = g.Edge(e);
     ++degree[u];
     ++degree[v];
@@ -185,13 +192,13 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (int e : mst_edges) {
-      if (!edge_alive_flags[e]) continue;
-      auto [u, v] = g.Edge(e);
+    for (size_t i = 0; i < mst_edges.size(); ++i) {
+      if (!mst_alive[i]) continue;
+      auto [u, v] = g.Edge(mst_edges[i]);
       const bool u_leaf = degree[u] == 1 && !is_terminal[u];
       const bool v_leaf = degree[v] == 1 && !is_terminal[v];
       if (u_leaf || v_leaf) {
-        edge_alive_flags[e] = 0;
+        mst_alive[i] = 0;
         --degree[u];
         --degree[v];
         changed = true;
@@ -200,17 +207,19 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
   }
 
   result.connected = true;
-  std::set<int> vertex_set;
-  for (int e : mst_edges) {
-    if (!edge_alive_flags[e]) continue;
+  for (size_t i = 0; i < mst_edges.size(); ++i) {
+    if (!mst_alive[i]) continue;
+    const int e = mst_edges[i];
     result.edge_ids.push_back(e);
     result.total_weight += edge_weights[e];
     auto [u, v] = g.Edge(e);
-    vertex_set.insert(u);
-    vertex_set.insert(v);
+    result.vertices.push_back(u);
+    result.vertices.push_back(v);
   }
-  for (int t : terminals) vertex_set.insert(t);
-  result.vertices.assign(vertex_set.begin(), vertex_set.end());
+  result.vertices.insert(result.vertices.end(), terminals.begin(), terminals.end());
+  std::sort(result.vertices.begin(), result.vertices.end());
+  result.vertices.erase(std::unique(result.vertices.begin(), result.vertices.end()),
+                        result.vertices.end());
   return result;
 }
 

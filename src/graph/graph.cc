@@ -164,28 +164,4 @@ int Graph::EdgeId(int u, int v) const {
   return edge_ids_ptr()[it - neighbors];
 }
 
-Graph Graph::InducedSubgraph(const std::vector<int>& vertices,
-                             std::vector<int>* vertex_map_out) const {
-  std::vector<int> old_to_new(num_vertices_, -1);
-  std::vector<int> new_to_old;
-  new_to_old.reserve(vertices.size());
-  for (int v : vertices) {
-    DSSDDI_CHECK(v >= 0 && v < num_vertices_) << "subgraph vertex out of range";
-    if (old_to_new[v] < 0) {
-      old_to_new[v] = static_cast<int>(new_to_old.size());
-      new_to_old.push_back(v);
-    }
-  }
-  std::vector<std::pair<int, int>> sub_edges;
-  const int edge_count = num_edges();
-  for (int e = 0; e < edge_count; ++e) {
-    const auto [u, v] = Edge(e);
-    if (old_to_new[u] >= 0 && old_to_new[v] >= 0) {
-      sub_edges.emplace_back(old_to_new[u], old_to_new[v]);
-    }
-  }
-  if (vertex_map_out != nullptr) *vertex_map_out = new_to_old;
-  return FromEdges(static_cast<int>(new_to_old.size()), sub_edges);
-}
-
 }  // namespace dssddi::graph

@@ -82,12 +82,6 @@ class Graph {
 
   bool HasEdge(int u, int v) const { return EdgeId(u, v) >= 0; }
 
-  /// Vertex-induced subgraph (always owning, even from a view).
-  /// `vertex_map_out`, if non-null, receives the original id of each new
-  /// vertex (new id -> old id).
-  Graph InducedSubgraph(const std::vector<int>& vertices,
-                        std::vector<int>* vertex_map_out = nullptr) const;
-
   // ---- Flat CSR access (both modes) — what the bundle-v4 writer
   // serializes so a later FromCsrView reconstructs this exact graph. ----
   const int* adj_offsets_data() const { return offsets_ptr(); }

@@ -46,15 +46,6 @@ TEST(GraphTest, EdgeIdLookup) {
   EXPECT_FALSE(g.HasEdge(0, 2));
 }
 
-TEST(GraphTest, InducedSubgraphKeepsInternalEdges) {
-  Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
-  std::vector<int> map;
-  Graph sub = g.InducedSubgraph({0, 1, 2}, &map);
-  EXPECT_EQ(sub.num_vertices(), 3);
-  EXPECT_EQ(sub.num_edges(), 2);  // (0,1) and (1,2)
-  EXPECT_EQ(map.size(), 3u);
-}
-
 TEST(SignedGraphTest, CountsAndSignLookup) {
   SignedGraph g(4, {{0, 1, EdgeSign::kSynergistic},
                     {1, 2, EdgeSign::kAntagonistic},

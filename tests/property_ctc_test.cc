@@ -1,8 +1,11 @@
 // Property suite for the Medical Support substrate: closest-truss-
 // community queries over random graphs must always return a connected
-// p-truss containing the query, and the Suggestion Satisfaction measure
+// p-truss containing the query, with the diameter and query distance a
+// plain BFS over its edges gives, and the Suggestion Satisfaction measure
 // must respect its analytic bounds on arbitrary signed graphs.
 
+#include <algorithm>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -96,8 +99,35 @@ TEST_P(CtcPropertyTest, CommunityIsConnectedPTrussContainingQuery) {
   EXPECT_GE(community.trussness, 2);
   EXPECT_LE(community.trussness, algo::MaxQueryTrussness(g, query));
 
-  EXPECT_GE(community.diameter, community.query_distance);
-  EXPECT_GE(community.query_distance, 0);
+  // Vertices and edge ids come out ascending, without repeats.
+  EXPECT_TRUE(std::adjacent_find(community.vertices.begin(), community.vertices.end(),
+                                 std::greater_equal<int>()) == community.vertices.end());
+  EXPECT_TRUE(std::adjacent_find(community.edge_ids.begin(), community.edge_ids.end(),
+                                 std::greater_equal<int>()) == community.edge_ids.end());
+
+  // Diameter and query distance match a plain BFS over the returned edges.
+  {
+    std::vector<std::pair<int, int>> edges;
+    for (int e : community.edge_ids) edges.push_back(g.Edge(e));
+    const Graph sub = Graph::FromEdges(g.num_vertices(), edges);
+    int diameter = 0;
+    for (int s : community.vertices) {
+      for (int d : algo::BfsDistances(sub, s)) diameter = std::max(diameter, d);
+    }
+    std::vector<int> query_distance(g.num_vertices(), 0);
+    for (int s : query) {
+      const std::vector<int> dist = algo::BfsDistances(sub, s);
+      for (int v : community.vertices) {
+        query_distance[v] = std::max(query_distance[v], dist[v]);
+      }
+    }
+    int max_query_distance = 0;
+    for (int v : community.vertices) {
+      max_query_distance = std::max(max_query_distance, query_distance[v]);
+    }
+    EXPECT_EQ(community.diameter, diameter);
+    EXPECT_EQ(community.query_distance, max_query_distance);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -106,7 +136,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 24, 0.2, 2), std::make_tuple(4, 24, 0.4, 4),
                       std::make_tuple(5, 32, 0.1, 3), std::make_tuple(6, 32, 0.25, 5),
                       std::make_tuple(7, 48, 0.08, 2), std::make_tuple(8, 48, 0.15, 4),
-                      std::make_tuple(9, 12, 0.5, 6), std::make_tuple(10, 40, 0.2, 3)));
+                      std::make_tuple(9, 12, 0.5, 6), std::make_tuple(10, 40, 0.2, 3),
+                      // Wide queries: candidates past 64 vertices, so
+                      // multiword adjacency rows.
+                      std::make_tuple(11, 150, 0.05, 13), std::make_tuple(12, 180, 0.12, 16),
+                      std::make_tuple(13, 220, 0.04, 20), std::make_tuple(14, 300, 0.03, 16),
+                      std::make_tuple(15, 160, 0.2, 13)));
 
 TEST(CtcPropertyTest, SingleQueryVertexAlwaysFound) {
   util::Rng rng(77);
