@@ -41,7 +41,6 @@ class BitRows {
   explicit BitRows(int n)
       : n_(n), words_((n + 63) / 64), bits_(static_cast<size_t>(n) * words_, 0) {}
 
-  int n() const { return n_; }
   int words() const { return words_; }
   const uint64_t* Row(int u) const { return bits_.data() + static_cast<size_t>(u) * words_; }
   bool Has(int u, int v) const { return TestBit(Row(u), v); }
@@ -284,6 +283,8 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   // by level until the next one fails. The Steiner tree lies inside
   // the candidate, so the 2-truss (every edge) connects the query.
   BitBfs bfs(rows.words());
+  DSSDDI_CHECK(QueryConnected(rows, sub_query, bfs))
+      << "query disconnected inside its own Steiner tree";
   std::vector<std::pair<int, int>> stack;
   int p = 2;
   for (BitRows next = rows;; rows = next, ++p) {
