@@ -302,22 +302,29 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   // iterate with the smallest query distance. Each iteration's query
   // distances are computed once and serve the next iteration's deletion.
   std::vector<int> qd(n, 0);
+  auto for_each_alive = [&](auto&& visit) {
+    ForEachBit(rows.words(), [&](int w) { return alive[w]; }, visit);
+  };
+  // Largest finite query distance over the alive vertices.
+  auto finite_query_distance = [&] {
+    int distance = 0;
+    for_each_alive([&](int v) {
+      if (qd[v] < kInfDist) distance = std::max(distance, qd[v]);
+    });
+    return distance;
+  };
   QueryDistances(rows, sub_query, alive, qd, bfs);
   BitRows best_rows = rows;
   Bits best_alive = alive;
-  int best_distance = 0;
-  ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
-    if (qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
-  });
+  int best_distance = finite_query_distance();
 
   for (int iter = 0; iter < options.max_shrink_iterations; ++iter) {
     int community_distance = 0;
-    ForEachBit(rows.words(), [&](int w) { return alive[w]; },
-               [&](int v) { community_distance = std::max(community_distance, qd[v]); });
+    for_each_alive([&](int v) { community_distance = std::max(community_distance, qd[v]); });
     // Delete all non-query vertices at the current maximum distance.
     bool deleted = false;
     if (community_distance > 0) {
-      ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
+      for_each_alive([&](int v) {
         if (!is_query[v] && qd[v] >= community_distance) {
           ClearBit(alive.data(), v);
           rows.Isolate(v);
@@ -330,15 +337,12 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     // then drop the non-query vertices that lost every edge. A query
     // vertex left isolated disconnects the query.
     PeelToTruss(rows, p, stack);
-    ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
+    for_each_alive([&](int v) {
       if (!is_query[v] && rows.Isolated(v)) ClearBit(alive.data(), v);
     });
     if (!QueryDistances(rows, sub_query, alive, qd, bfs)) break;
 
-    int distance_after = 0;
-    ForEachBit(rows.words(), [&](int w) { return alive[w]; }, [&](int v) {
-      if (qd[v] < kInfDist) distance_after = std::max(distance_after, qd[v]);
-    });
+    const int distance_after = finite_query_distance();
     if (distance_after <= best_distance) {
       best_distance = distance_after;
       best_rows = rows;
