@@ -291,9 +291,9 @@ int main(int argc, char** argv) {
                   : "(residency gate not met)");
 
   net::JsonWriter json;
-  json.BeginObject()
-      .Key("bench").String("io")
-      .Key("iters").Int(iters)
+  json.BeginObject().Key("bench").String("io");
+  bench::WriteProvenance(json);
+  json.Key("iters").Int(iters)
       .Key("hidden_dim").Int(bundle.hidden_dim)
       .Key("num_drugs").Int(bundle.num_drugs())
       .Key("v4_bytes_mapped").UInt(v4_loaded.bytes_mapped())

@@ -503,6 +503,7 @@ int main(int argc, char** argv) {
   json.Key("requests").Int(num_requests);
   json.Key("unique_patients").Int(unique_patients);
   json.Key("num_threads").Int(service.Stats().num_threads);
+  bench::WriteProvenance(json);
   json.Key("json_request_bytes").UInt(json_bytes / unique_patients);
   json.Key("binary_request_bytes").UInt(frame_bytes / unique_patients);
   const auto record = [&json](const char* grid, const char* codec,

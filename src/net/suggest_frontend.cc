@@ -225,6 +225,9 @@ SuggestFrontend::SuggestFrontend(serve::SuggestionService* service,
     : service_(service),
       options_(options),
       recorder_(service->flight_recorder()),
+      bad_requests_(service->registry()->GetCounter(
+          "dssddi_http_bad_requests_total",
+          "Requests rejected before reaching the service")),
       suggest_metrics_(std::make_shared<RouteMetrics>(service->registry(),
                                                       "/v1/suggest")),
       healthz_metrics_(
@@ -262,7 +265,7 @@ SuggestFrontend::SuggestFrontend(serve::SuggestionService* service,
 
 void SuggestFrontend::RecordRejection(RouteMetrics& metrics,
                                       const char* detail) {
-  bad_requests_.fetch_add(1, std::memory_order_relaxed);
+  bad_requests_->Increment();
   metrics.responses_4xx->Increment();
   recorder_->Record(obs::LogSeverity::kWarning, obs::LogReason::kBadRequest,
                     metrics.route, 400, 0, 0.0, nullptr, detail);
@@ -670,13 +673,12 @@ void SuggestFrontend::HandleSuggest(const HttpRequest& request,
 }
 
 void SuggestFrontend::HandleHealth(ResponseWriter writer) const {
-  const serve::ServiceStats stats = service_->Stats();
   HttpResponse response;
   JsonWriter json;
   json.BeginObject()
       .Key("status").String("ok")
-      .Key("model_version").UInt(stats.model_version)
-      .Key("uptime_seconds").Double(stats.uptime_seconds)
+      .Key("model_version").UInt(service_->model_version())
+      .Key("uptime_seconds").Double(service_->uptime_seconds())
       .EndObject();
   response.body = json.str();
   writer.Send(std::move(response));
@@ -687,14 +689,13 @@ int SuggestFrontend::HandleReadyz(ResponseWriter writer) const {
   // a draining server still answers in-flight work but must drop out of
   // load-balancer rotation.
   const bool draining = http_ != nullptr && http_->draining();
-  const serve::ServiceStats stats = service_->Stats();
   HttpResponse response;
   response.status = draining ? 503 : 200;
   JsonWriter json;
   json.BeginObject()
       .Key("ready").Bool(!draining)
       .Key("draining").Bool(draining)
-      .Key("model_version").UInt(stats.model_version)
+      .Key("model_version").UInt(service_->model_version())
       .EndObject();
   response.body = json.str();
   const int status = response.status;
@@ -839,73 +840,17 @@ void SuggestFrontend::HandleStats(ResponseWriter writer) const {
 
 void SuggestFrontend::HandleMetrics(ResponseWriter writer,
                                     bool openmetrics) const {
-  // Two sections, one writer: the ServiceStats counters (rendered from
-  // the same atomics Stats()/statsz read, so the views agree by
-  // construction) followed by every registry metric — per-route request
-  // counters and latency histograms, per-stage trace histograms, the
-  // service latency histogram, trace sampling counters. FamilyHeader
-  // applies the dialect's naming rules, so the same calls emit valid
-  // 0.0.4 and valid OpenMetrics 1.0.
-  const serve::ServiceStats stats = service_->Stats();
-  obs::PrometheusTextWriter prom(openmetrics
-                                     ? obs::ExpositionFormat::kOpenMetrics100
-                                     : obs::ExpositionFormat::kPrometheus004);
-  prom.FamilyHeader("dssddi_service_requests_total", "counter",
-                    "Requests accepted by Submit")
-      .Value("dssddi_service_requests_total", {}, stats.requests);
-  prom.FamilyHeader("dssddi_service_completed_total", "counter",
-                    "Completions fired")
-      .Value("dssddi_service_completed_total", {}, stats.completed);
-  prom.FamilyHeader(
-          "dssddi_service_expired_total", "counter",
-          "Requests dropped post-admission because their deadline passed")
-      .Value("dssddi_service_expired_total", {}, stats.expired);
-  prom.FamilyHeader("dssddi_service_batches_total", "counter",
-                    "Matrix passes dispatched")
-      .Value("dssddi_service_batches_total", {}, stats.batches);
-  prom.FamilyHeader("dssddi_service_coalesced_total", "counter",
-                    "Requests that rode an identical in-flight query")
-      .Value("dssddi_service_coalesced_total", {}, stats.coalesced);
-  prom.FamilyHeader("dssddi_admission_total", "counter",
-                    "Admission gate outcomes, by decision")
-      .Value("dssddi_admission_total", {{"decision", "admitted"}},
-             stats.admitted)
-      .Value("dssddi_admission_total", {{"decision", "shed_load"}}, stats.shed)
-      .Value("dssddi_admission_total", {{"decision", "shed_deadline"}},
-             stats.deadline_shed)
-      .Value("dssddi_admission_total", {{"decision", "shed_degraded"}},
-             stats.degraded_shed);
-  prom.FamilyHeader("dssddi_cache_total", "counter",
-                    "Suggestion cache outcomes")
-      .Value("dssddi_cache_total", {{"outcome", "hit"}}, stats.cache_hits)
-      .Value("dssddi_cache_total", {{"outcome", "miss"}}, stats.cache_misses);
-  prom.FamilyHeader("dssddi_http_bad_requests_total", "counter",
-                    "Requests rejected before reaching the service")
-      .Value("dssddi_http_bad_requests_total", {}, bad_requests());
-  prom.FamilyHeader("dssddi_in_flight", "gauge",
-                    "Accepted requests not yet completed")
-      .Value("dssddi_in_flight", {}, stats.in_flight);
-  prom.FamilyHeader("dssddi_queue_depth", "gauge",
-                    "Requests queued in batcher + pool")
-      .Value("dssddi_queue_depth", {}, stats.queue_depth);
-  prom.FamilyHeader("dssddi_model_version", "gauge",
-                    "Version of the served model snapshot")
-      .Value("dssddi_model_version", {}, stats.model_version);
-  prom.FamilyHeader("dssddi_model_reloads_total", "counter",
-                    "Successful hot reloads")
-      .Value("dssddi_model_reloads_total", {}, stats.reloads);
-  prom.FamilyHeader("dssddi_uptime_seconds", "gauge", "Service uptime")
-      .Value("dssddi_uptime_seconds", {}, stats.uptime_seconds);
-
+  // The registry holds every serving count; refresh its live gauges,
+  // then render it. /statsz reads the same series through Stats().
+  service_->RefreshGauges();
   HttpResponse response;
   if (openmetrics) {
     response.content_type =
         "application/openmetrics-text; version=1.0.0; charset=utf-8";
-    response.body =
-        prom.str() + service_->registry()->RenderOpenMetricsText() + "# EOF\n";
+    response.body = service_->registry()->RenderOpenMetricsText() + "# EOF\n";
   } else {
     response.content_type = "text/plain; version=0.0.4";
-    response.body = prom.str() + service_->registry()->RenderPrometheusText();
+    response.body = service_->registry()->RenderPrometheusText();
   }
   writer.Send(std::move(response));
 }
@@ -918,7 +863,7 @@ int SuggestFrontend::HandleLogz(const std::string& query,
   obs::LogSeverity min_severity = obs::LogSeverity::kInfo;
   const std::string severity = QueryParam(query, "severity");
   if (!severity.empty() && !obs::ParseLogSeverity(severity, &min_severity)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    bad_requests_->Increment();
     recorder_->Record(obs::LogSeverity::kWarning, obs::LogReason::kBadRequest,
                       "/logz", 400, 0, 0.0, nullptr,
                       "unknown /logz severity filter");
@@ -928,7 +873,7 @@ int SuggestFrontend::HandleLogz(const std::string& query,
   uint64_t trace_filter = 0;
   const std::string trace = QueryParam(query, "trace");
   if (!trace.empty() && !ParseUintHeader(trace, &trace_filter)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    bad_requests_->Increment();
     recorder_->Record(obs::LogSeverity::kWarning, obs::LogReason::kBadRequest,
                       "/logz", 400, 0, 0.0, nullptr,
                       "non-numeric /logz trace filter");
@@ -967,7 +912,7 @@ int SuggestFrontend::HandleReload(const HttpRequest& request,
   std::string parse_error;
   if (!ParseJson(request.body, &document, &parse_error) ||
       !document.is_object()) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    bad_requests_->Increment();
     recorder_->Record(obs::LogSeverity::kWarning, obs::LogReason::kBadRequest,
                       "/admin/reload", 400, 0, 0.0, nullptr,
                       "reload body is not a JSON object");
@@ -976,7 +921,7 @@ int SuggestFrontend::HandleReload(const HttpRequest& request,
   }
   const JsonValue* path = document.Find("path");
   if (path == nullptr || !path->is_string() || path->AsString().empty()) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    bad_requests_->Increment();
     recorder_->Record(obs::LogSeverity::kWarning, obs::LogReason::kBadRequest,
                       "/admin/reload", 400, 0, 0.0, nullptr,
                       "reload 'path' missing or empty");
@@ -993,7 +938,7 @@ int SuggestFrontend::HandleReload(const HttpRequest& request,
     if (!quantize->is_string() ||
         (quantize->AsString() != "auto" &&
          !tensor::kernels::ParseQuantMode(quantize->AsString(), &mode))) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
+      bad_requests_->Increment();
       recorder_->Record(obs::LogSeverity::kWarning,
                         obs::LogReason::kBadRequest, "/admin/reload", 400, 0,
                         0.0, nullptr, "unknown reload 'quantize' value");

@@ -69,12 +69,13 @@ struct SuggestFrontendOptions {
 ///                      -> 504 deadline-shed or expired before scoring
 ///   GET  /healthz      liveness + model version
 ///   GET  /statsz       ServiceStats + admission + per-route latency +
-///                      HTTP counters as JSON
-///   GET  /metricsz     Prometheus exposition text: every registry metric
-///                      (per-route latency histograms, per-stage trace
-///                      histograms, HTTP counters) plus the ServiceStats
-///                      counters rendered from the same atomics /statsz
-///                      reads — the two views cannot disagree
+///                      HTTP counters as JSON, read from the service's
+///                      metrics registry
+///   GET  /metricsz     Prometheus exposition text of that same registry
+///                      (service, admission and cache counters, live
+///                      gauges, per-route and per-stage histograms, HTTP
+///                      counters) — /statsz and /metricsz are two renders
+///                      of one set of series and cannot disagree
 ///   GET  /tracez       the slow-trace and errored-trace rings as JSON,
 ///                      per-stage timings included
 ///   GET  /logz         the flight recorder's wide events as NDJSON,
@@ -129,8 +130,9 @@ class SuggestFrontend {
   }
 
   /// Requests rejected before reaching the service (bad JSON, bad
-  /// frames, bad deadline headers); 404/405s are not counted.
-  uint64_t bad_requests() const { return bad_requests_.load(); }
+  /// frames, bad deadline headers); 404/405s are not counted. Read from
+  /// the registry's dssddi_http_bad_requests_total.
+  uint64_t bad_requests() const { return bad_requests_->Value(); }
 
   const SuggestFrontendOptions& options() const { return options_; }
 
@@ -190,7 +192,8 @@ class SuggestFrontend {
   const HttpServer* http_ = nullptr;
   /// The service's flight recorder (shared; see SuggestionService).
   std::shared_ptr<obs::FlightRecorder> recorder_;
-  std::atomic<uint64_t> bad_requests_{0};
+  /// dssddi_http_bad_requests_total in the service's registry.
+  obs::Counter* bad_requests_;
   std::atomic<uint64_t> next_trace_id_{1};
   /// Cached sampler handle for /v1/suggest (stable for the collector's
   /// lifetime; consulting it is a relaxed load + fetch_add).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace dssddi::obs {
@@ -52,6 +53,126 @@ std::string FormatDouble(double v) {
   }
   return buf;
 }
+
+/// `value` with Prometheus label-value escaping applied (backslash,
+/// double quote, newline).
+std::string EscapeLabelValue(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
+  for (char c : value) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+/// Append-style exposition writer behind Registry's two renders. It
+/// speaks classic 0.0.4 and OpenMetrics 1.0, where counter families drop
+/// the `_total` suffix in HELP/TYPE lines and histogram buckets may
+/// carry exemplars.
+class PrometheusTextWriter {
+ public:
+  explicit PrometheusTextWriter(ExpositionFormat format) : format_(format) {}
+
+  /// HELP + TYPE for one family (`type` is "counter", "gauge" or
+  /// "histogram"), with the dialect's name rules applied: OpenMetrics
+  /// names a counter family WITHOUT the `_total` suffix its sample lines
+  /// carry; the 0.0.4 dialect uses the full name everywhere.
+  void FamilyHeader(const std::string& name, const char* type,
+                    const std::string& help) {
+    std::string family = name;
+    if (format_ == ExpositionFormat::kOpenMetrics100 &&
+        std::strcmp(type, "counter") == 0 && family.size() > 6 &&
+        family.compare(family.size() - 6, 6, "_total") == 0) {
+      family.resize(family.size() - 6);
+    }
+    out_ += "# HELP " + family + ' ' + help + '\n';
+    out_ += "# TYPE " + family + ' ' + type + '\n';
+  }
+
+  void Value(const std::string& name, const Labels& labels, double value) {
+    SeriesHeader(name, labels);
+    out_ += FormatDouble(value);
+    out_ += '\n';
+  }
+
+  void Value(const std::string& name, const Labels& labels, uint64_t value) {
+    SeriesHeader(name, labels);
+    out_ += std::to_string(value);
+    out_ += '\n';
+  }
+
+  /// Cumulative `_bucket`/`_sum`/`_count` series for one histogram. In
+  /// OpenMetrics format, a non-null `exemplar_source` contributes
+  /// `# {trace_id="..."} value timestamp` exemplars on bucket lines.
+  void HistogramSeries(const std::string& name, const Labels& labels,
+                       const HistogramSnapshot& snapshot,
+                       const Histogram* exemplar_source) {
+    uint64_t cumulative = 0;
+    for (int b = 0; b < kNumBuckets; ++b) {
+      cumulative += snapshot.buckets[static_cast<size_t>(b)];
+      SeriesHeader(name + "_bucket", labels, "le",
+                   FormatDouble(BucketUpperBound(b)));
+      out_ += std::to_string(cumulative);
+      if (format_ == ExpositionFormat::kOpenMetrics100 &&
+          exemplar_source != nullptr) {
+        const Exemplar exemplar = exemplar_source->ExemplarAt(b);
+        if (exemplar.valid) {
+          out_ += " # {trace_id=\"";
+          out_ += std::to_string(exemplar.trace_id);
+          out_ += "\"} ";
+          out_ += FormatDouble(exemplar.value);
+          out_ += ' ';
+          out_ += FormatDouble(exemplar.timestamp);
+        }
+      }
+      out_ += '\n';
+    }
+    SeriesHeader(name + "_sum", labels);
+    out_ += FormatDouble(snapshot.sum);
+    out_ += '\n';
+    SeriesHeader(name + "_count", labels);
+    out_ += std::to_string(snapshot.count);
+    out_ += '\n';
+  }
+
+  const std::string& str() const { return out_; }
+
+ private:
+  void SeriesHeader(const std::string& name, const Labels& labels,
+                    const std::string& extra_label_name = "",
+                    const std::string& extra_label_value = "") {
+    out_ += name;
+    if (!labels.empty() || !extra_label_name.empty()) {
+      out_ += '{';
+      bool first = true;
+      for (const auto& [key, value] : labels) {
+        if (!first) out_ += ',';
+        first = false;
+        out_ += key;
+        out_ += "=\"";
+        out_ += EscapeLabelValue(value);
+        out_ += '"';
+      }
+      if (!extra_label_name.empty()) {
+        if (!first) out_ += ',';
+        out_ += extra_label_name;
+        out_ += "=\"";
+        out_ += EscapeLabelValue(extra_label_value);
+        out_ += '"';
+      }
+      out_ += '}';
+    }
+    out_ += ' ';
+  }
+
+  ExpositionFormat format_;
+  std::string out_;
+};
 
 }  // namespace
 
@@ -322,11 +443,11 @@ std::string Registry::RenderText(ExpositionFormat format) const {
 }
 
 std::string Registry::RenderPrometheusText() const {
-  return RenderText(PrometheusTextWriter::Format::kPrometheus004);
+  return RenderText(ExpositionFormat::kPrometheus004);
 }
 
 std::string Registry::RenderOpenMetricsText() const {
-  return RenderText(PrometheusTextWriter::Format::kOpenMetrics100);
+  return RenderText(ExpositionFormat::kOpenMetrics100);
 }
 
 std::vector<std::string> Registry::FamilyNames() const {
@@ -335,136 +456,6 @@ std::vector<std::string> Registry::FamilyNames() const {
   names.reserve(families_.size());
   for (const auto& family : families_) names.push_back(family->name);
   return names;
-}
-
-// ---------------------------------------------------------------------
-// Exposition helpers
-// ---------------------------------------------------------------------
-
-std::string EscapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-PrometheusTextWriter& PrometheusTextWriter::Help(const std::string& name,
-                                                 const std::string& text) {
-  out_ += "# HELP ";
-  out_ += name;
-  out_ += ' ';
-  out_ += text;
-  out_ += '\n';
-  return *this;
-}
-
-PrometheusTextWriter& PrometheusTextWriter::Type(const std::string& name,
-                                                 const std::string& type) {
-  out_ += "# TYPE ";
-  out_ += name;
-  out_ += ' ';
-  out_ += type;
-  out_ += '\n';
-  return *this;
-}
-
-PrometheusTextWriter& PrometheusTextWriter::FamilyHeader(
-    const std::string& name, const std::string& type,
-    const std::string& help) {
-  // OpenMetrics names a counter family WITHOUT the `_total` suffix its
-  // sample lines carry; the 0.0.4 dialect uses the full name everywhere.
-  std::string family = name;
-  if (format_ == Format::kOpenMetrics100 && type == "counter" &&
-      family.size() > 6 && family.compare(family.size() - 6, 6, "_total") == 0) {
-    family.resize(family.size() - 6);
-  }
-  Help(family, help);
-  Type(family, type);
-  return *this;
-}
-
-void PrometheusTextWriter::SeriesHeader(const std::string& name,
-                                        const Labels& labels,
-                                        const std::string& extra_label_name,
-                                        const std::string& extra_label_value) {
-  out_ += name;
-  if (!labels.empty() || !extra_label_name.empty()) {
-    out_ += '{';
-    bool first = true;
-    for (const auto& [key, value] : labels) {
-      if (!first) out_ += ',';
-      first = false;
-      out_ += key;
-      out_ += "=\"";
-      out_ += EscapeLabelValue(value);
-      out_ += '"';
-    }
-    if (!extra_label_name.empty()) {
-      if (!first) out_ += ',';
-      out_ += extra_label_name;
-      out_ += "=\"";
-      out_ += EscapeLabelValue(extra_label_value);
-      out_ += '"';
-    }
-    out_ += '}';
-  }
-  out_ += ' ';
-}
-
-PrometheusTextWriter& PrometheusTextWriter::Value(const std::string& name,
-                                                  const Labels& labels,
-                                                  double value) {
-  SeriesHeader(name, labels);
-  out_ += FormatDouble(value);
-  out_ += '\n';
-  return *this;
-}
-
-PrometheusTextWriter& PrometheusTextWriter::Value(const std::string& name,
-                                                  const Labels& labels,
-                                                  uint64_t value) {
-  SeriesHeader(name, labels);
-  out_ += std::to_string(value);
-  out_ += '\n';
-  return *this;
-}
-
-PrometheusTextWriter& PrometheusTextWriter::HistogramSeries(
-    const std::string& name, const Labels& labels,
-    const HistogramSnapshot& snapshot, const Histogram* exemplar_source) {
-  uint64_t cumulative = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    cumulative += snapshot.buckets[static_cast<size_t>(b)];
-    SeriesHeader(name + "_bucket", labels, "le",
-                 FormatDouble(BucketUpperBound(b)));
-    out_ += std::to_string(cumulative);
-    if (format_ == Format::kOpenMetrics100 && exemplar_source != nullptr) {
-      const Exemplar exemplar = exemplar_source->ExemplarAt(b);
-      if (exemplar.valid) {
-        out_ += " # {trace_id=\"";
-        out_ += std::to_string(exemplar.trace_id);
-        out_ += "\"} ";
-        out_ += FormatDouble(exemplar.value);
-        out_ += ' ';
-        out_ += FormatDouble(exemplar.timestamp);
-      }
-    }
-    out_ += '\n';
-  }
-  SeriesHeader(name + "_sum", labels);
-  out_ += FormatDouble(snapshot.sum);
-  out_ += '\n';
-  SeriesHeader(name + "_count", labels);
-  out_ += std::to_string(snapshot.count);
-  out_ += '\n';
-  return *this;
 }
 
 }  // namespace dssddi::obs

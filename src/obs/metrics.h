@@ -264,60 +264,6 @@ class Registry {
   std::vector<std::unique_ptr<Family>> families_;  // registration order
 };
 
-// ---------------------------------------------------------------------
-// Exposition helpers
-// ---------------------------------------------------------------------
-
-/// `value` with Prometheus label-value escaping applied (backslash,
-/// double quote, newline).
-std::string EscapeLabelValue(const std::string& value);
-
-/// Append-style Prometheus text writer, used by Registry::Render and by
-/// callers exposing values that live outside the registry (the service
-/// stats atomics /statsz already reports — rendering them through the
-/// same writer keeps the two views in lockstep). The writer speaks two
-/// dialects: classic 0.0.4 (default, unchanged output) and OpenMetrics
-/// 1.0, where counter families drop the `_total` suffix in HELP/TYPE
-/// lines and histogram buckets may carry exemplars.
-class PrometheusTextWriter {
- public:
-  using Format = ExpositionFormat;
-
-  PrometheusTextWriter() = default;
-  explicit PrometheusTextWriter(Format format) : format_(format) {}
-
-  PrometheusTextWriter& Help(const std::string& name, const std::string& text);
-  /// `type` is "counter", "gauge" or "histogram".
-  PrometheusTextWriter& Type(const std::string& name, const std::string& type);
-  /// HELP + TYPE for one family, with the dialect's name rules applied
-  /// (OpenMetrics strips a counter's `_total` from the family name;
-  /// sample lines keep it). Prefer this over separate Help/Type calls
-  /// when the output may be OpenMetrics.
-  PrometheusTextWriter& FamilyHeader(const std::string& name,
-                                     const std::string& type,
-                                     const std::string& help);
-  PrometheusTextWriter& Value(const std::string& name, const Labels& labels,
-                              double value);
-  PrometheusTextWriter& Value(const std::string& name, const Labels& labels,
-                              uint64_t value);
-  /// Cumulative `_bucket`/`_sum`/`_count` series for one histogram. In
-  /// OpenMetrics format, a non-null `exemplar_source` contributes
-  /// `# {trace_id="..."} value timestamp` exemplars on bucket lines.
-  PrometheusTextWriter& HistogramSeries(
-      const std::string& name, const Labels& labels,
-      const HistogramSnapshot& snapshot,
-      const Histogram* exemplar_source = nullptr);
-  Format format() const { return format_; }
-  const std::string& str() const { return out_; }
-
- private:
-  void SeriesHeader(const std::string& name, const Labels& labels,
-                    const std::string& extra_label_name = "",
-                    const std::string& extra_label_value = "");
-  Format format_ = Format::kPrometheus004;
-  std::string out_;
-};
-
 }  // namespace dssddi::obs
 
 #endif  // DSSDDI_OBS_METRICS_H_

@@ -229,7 +229,6 @@ void SloEngine::Tick(std::chrono::steady_clock::time_point now) {
   }
 
   if (entered || exited) {
-    transitions_.fetch_add(1, std::memory_order_relaxed);
     degraded_gauge_->Set(entered ? 1.0 : 0.0);
     (entered ? enter_transitions_ : exit_transitions_)->Increment();
     if (recorder_) {
@@ -262,7 +261,7 @@ std::string SloEngine::RenderSlozJson() const {
   out += ",\"fast_burn_exit\":";
   AppendDouble(&out, options_.fast_burn_exit);
   out += ",\"transitions\":";
-  out += std::to_string(transitions_.load(std::memory_order_relaxed));
+  out += std::to_string(transitions());
   out += ",\"objectives\":[";
   for (size_t i = 0; i < status.size(); ++i) {
     const SloStatus& s = status[i];

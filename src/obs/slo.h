@@ -113,8 +113,9 @@ class SloEngine {
   void Tick(std::chrono::steady_clock::time_point now);
 
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
+  /// Enter + exit transitions, read from dssddi_slo_transitions_total.
   uint64_t transitions() const {
-    return transitions_.load(std::memory_order_relaxed);
+    return enter_transitions_->Value() + exit_transitions_->Value();
   }
 
   /// /sloz payload: engine config, degraded state, per-objective burns.
@@ -151,7 +152,6 @@ class SloEngine {
   Counter* exit_transitions_ = nullptr;
 
   std::atomic<bool> degraded_{false};
-  std::atomic<uint64_t> transitions_{0};
 
   mutable std::mutex mutex_;  // samples_ + status_
   std::deque<Sample> samples_;

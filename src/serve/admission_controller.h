@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "obs/metrics.h"
 #include "serve/request_context.h"
 
 namespace dssddi::serve {
@@ -32,10 +33,12 @@ namespace dssddi::serve {
 ///
 /// Either depth bound set to 0 disables that check; a request without a
 /// deadline (remaining budget = +infinity) never deadline-sheds. The
-/// controller is a pure policy + counters object: the caller supplies
-/// the current depths, remaining budget and the observed p50, the
-/// controller answers admit/shed and keeps cumulative counts. All
-/// methods are lock-free and safe from any thread.
+/// controller is a pure policy object: the caller supplies the current
+/// depths, remaining budget and the observed p50, the controller answers
+/// admit/shed and counts each decision in the registry's
+/// `dssddi_admission_total{decision=...}` series, since only it can tell
+/// a degraded shed from a load shed. All methods are lock-free and safe
+/// from any thread.
 class AdmissionController {
  public:
   struct Options {
@@ -65,17 +68,14 @@ class AdmissionController {
     kShedDeadline,  // remaining budget can't cover service time -> 504
   };
 
-  struct Counters {
-    uint64_t admitted = 0;
-    uint64_t shed = 0;           // load sheds only
-    uint64_t deadline_shed = 0;  // counted separately by design
-    /// kBatch arrivals shed because the gate was degraded (a subset of
-    /// `shed`): the measured cost of graceful degradation.
-    uint64_t degraded_shed = 0;
-  };
-
-  AdmissionController() = default;
-  explicit AdmissionController(const Options& options) : options_(options) {}
+  /// Registers the four decision series in `registry`, which must
+  /// outlive the controller.
+  AdmissionController(obs::Registry& registry, const Options& options)
+      : options_(options),
+        admitted_(DecisionCounter(registry, "admitted")),
+        shed_load_(DecisionCounter(registry, "shed_load")),
+        shed_deadline_(DecisionCounter(registry, "shed_deadline")),
+        shed_degraded_(DecisionCounter(registry, "shed_degraded")) {}
 
   /// Decides one arrival given the current pipeline state. The deadline
   /// check runs first: a doomed request is not "overload" and must not
@@ -83,7 +83,7 @@ class AdmissionController {
   /// budget left right now (+infinity when it has no deadline);
   /// `p50_service_ms` is the caller's rolling estimate (0 = unknown, in
   /// which case only already-expired requests are deadline-shed).
-  /// Updates the counters as a side effect.
+  /// Counts the decision as a side effect.
   ///
   /// Probing: every kProbeInterval'th estimate-driven shed candidate is
   /// admitted instead. The p50 estimate is refreshed by completions, so
@@ -98,7 +98,7 @@ class AdmissionController {
                              RequestPriority priority =
                                  RequestPriority::kInteractive) {
     if (remaining_budget_ms <= 0.0) {
-      deadline_shed_.fetch_add(1, std::memory_order_relaxed);
+      shed_deadline_->Increment();
       return Decision::kShedDeadline;
     }
     // Degraded mode (set by the SLO engine when a fast burn crosses its
@@ -109,8 +109,8 @@ class AdmissionController {
     const bool degraded = degraded_.load(std::memory_order_relaxed);
     if (degraded && options_.degraded_shed_batch &&
         priority == RequestPriority::kBatch) {
-      degraded_shed_.fetch_add(1, std::memory_order_relaxed);
-      shed_.fetch_add(1, std::memory_order_relaxed);
+      shed_degraded_->Increment();
+      shed_load_->Increment();
       return Decision::kShedLoad;
     }
     const double headroom =
@@ -120,7 +120,7 @@ class AdmissionController {
       const uint64_t nth =
           probe_candidates_.fetch_add(1, std::memory_order_relaxed);
       if (nth % kProbeInterval != kProbeInterval - 1) {
-        deadline_shed_.fetch_add(1, std::memory_order_relaxed);
+        shed_deadline_->Increment();
         return Decision::kShedDeadline;
       }
       // Probe: fall through to the depth bounds like any admission.
@@ -128,10 +128,10 @@ class AdmissionController {
     if ((options_.max_in_flight > 0 && in_flight >= options_.max_in_flight) ||
         (options_.max_queue_depth > 0 &&
          queue_depth >= options_.max_queue_depth)) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
+      shed_load_->Increment();
       return Decision::kShedLoad;
     }
-    admitted_.fetch_add(1, std::memory_order_relaxed);
+    admitted_->Increment();
     return Decision::kAdmit;
   }
 
@@ -142,12 +142,14 @@ class AdmissionController {
                              0.0) == Decision::kAdmit;
   }
 
-  Counters counters() const {
-    return {admitted_.load(std::memory_order_relaxed),
-            shed_.load(std::memory_order_relaxed),
-            deadline_shed_.load(std::memory_order_relaxed),
-            degraded_shed_.load(std::memory_order_relaxed)};
-  }
+  /// Cumulative decisions, read back from the registry series. Load
+  /// sheds (429) and deadline sheds (504) are counted separately;
+  /// `degraded_shed` counts kBatch arrivals shed while degraded, a subset
+  /// of `shed`: the measured cost of graceful degradation.
+  uint64_t admitted() const { return admitted_->Value(); }
+  uint64_t shed() const { return shed_load_->Value(); }
+  uint64_t deadline_shed() const { return shed_deadline_->Value(); }
+  uint64_t degraded_shed() const { return shed_degraded_->Value(); }
 
   /// Degraded-mode input, driven by the SLO engine's burn-rate state
   /// machine (obs::SloEngine). Safe from any thread.
@@ -164,12 +166,19 @@ class AdmissionController {
  private:
   static constexpr uint64_t kProbeInterval = 16;
 
+  static obs::Counter* DecisionCounter(obs::Registry& registry,
+                                       const char* decision) {
+    return registry.GetCounter("dssddi_admission_total",
+                               "Admission gate outcomes, by decision",
+                               {{"decision", decision}});
+  }
+
   Options options_;
+  obs::Counter* admitted_;
+  obs::Counter* shed_load_;
+  obs::Counter* shed_deadline_;
+  obs::Counter* shed_degraded_;
   std::atomic<bool> degraded_{false};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> deadline_shed_{0};
-  std::atomic<uint64_t> degraded_shed_{0};
   std::atomic<uint64_t> probe_candidates_{0};
 };
 

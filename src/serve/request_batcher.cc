@@ -62,21 +62,6 @@ void RequestBatcher::Enqueue(Request request, CacheKey key, Completion done) {
   wake_.notify_one();
 }
 
-RequestBatcher::DispatchCounters RequestBatcher::dispatch_counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {batches_dispatched_, requests_dispatched_, expired_dispatched_};
-}
-
-uint64_t RequestBatcher::batches_dispatched() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return batches_dispatched_;
-}
-
-uint64_t RequestBatcher::requests_dispatched() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return requests_dispatched_;
-}
-
 size_t RequestBatcher::QueueDepth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();
@@ -126,7 +111,6 @@ void RequestBatcher::CutLocked(std::vector<PendingRequest>* batch,
         ++it;
       }
     }
-    expired_dispatched_ += expired->size();
     // Stamp the sweep's cost on the sampled requests it removed: for a
     // 504 the sweep IS the stage that decided the request's fate. The
     // clock is read only when a sampled request was actually swept.
@@ -182,8 +166,6 @@ void RequestBatcher::CutLocked(std::vector<PendingRequest>* batch,
     queue_.pop_front();
   }
   if (batch->empty()) return;
-  ++batches_dispatched_;
-  requests_dispatched_ += batch->size();
   // Formation (urgency selection + assembly) is batch-wide work, so
   // every sampled member gets the cut's full cost, mirroring the gemm
   // attribution. Second clock read only when someone is sampled.

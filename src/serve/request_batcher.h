@@ -119,20 +119,6 @@ class RequestBatcher {
   /// `key` travels alongside so the scorer does not recompute it.
   void Enqueue(Request request, CacheKey key, Completion done);
 
-  struct DispatchCounters {
-    uint64_t batches = 0;
-    uint64_t requests = 0;
-    /// Requests swept to the expired handler instead of a batch slot.
-    uint64_t expired = 0;
-  };
-
-  /// All counters from one lock acquisition — a consistent snapshot
-  /// (reading them separately could interleave with a cut).
-  DispatchCounters dispatch_counters() const;
-
-  uint64_t batches_dispatched() const;
-  uint64_t requests_dispatched() const;
-
   /// Requests queued but not yet cut into a batch.
   size_t QueueDepth() const;
 
@@ -153,9 +139,6 @@ class RequestBatcher {
   std::condition_variable wake_;
   std::deque<PendingRequest> queue_;
   bool stopping_ = false;
-  uint64_t batches_dispatched_ = 0;
-  uint64_t requests_dispatched_ = 0;
-  uint64_t expired_dispatched_ = 0;
 
   std::vector<std::thread> workers_;
 };

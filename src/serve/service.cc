@@ -48,11 +48,52 @@ CacheKey KeyFor(const Request& request, uint64_t generation) {
 SuggestionService::SuggestionService(io::InferenceBundle bundle,
                                      const ServiceOptions& options)
     : options_(options),
-      admission_(options.admission),
       registry_(std::make_shared<obs::Registry>()),
       collector_(std::make_shared<obs::TraceCollector>(
           registry_, options.trace_ring_capacity)),
       recorder_(std::make_shared<obs::FlightRecorder>(options.flight_recorder)),
+      requests_(registry_->GetCounter("dssddi_service_requests_total",
+                                      "Requests accepted by Submit")),
+      completed_(registry_->GetCounter("dssddi_service_completed_total",
+                                       "Completions fired")),
+      expired_(registry_->GetCounter(
+          "dssddi_service_expired_total",
+          "Requests dropped post-admission because their deadline passed")),
+      coalesced_(registry_->GetCounter(
+          "dssddi_service_coalesced_total",
+          "Requests that rode an identical in-flight query")),
+      batches_(registry_->GetCounter("dssddi_service_batches_total",
+                                     "Matrix passes dispatched")),
+      batch_rows_(registry_->GetCounter(
+          "dssddi_service_batch_rows_total",
+          "Requests scored in a matrix pass (rows / batches = mean batch "
+          "size)")),
+      cache_hits_(registry_->GetCounter("dssddi_cache_total",
+                                        "Suggestion cache outcomes",
+                                        {{"outcome", "hit"}})),
+      cache_misses_(registry_->GetCounter("dssddi_cache_total",
+                                          "Suggestion cache outcomes",
+                                          {{"outcome", "miss"}})),
+      reloads_(registry_->GetCounter("dssddi_model_reloads_total",
+                                     "Successful hot reloads")),
+      in_flight_gauge_(registry_->GetGauge(
+          "dssddi_in_flight", "Accepted requests not yet completed")),
+      queue_depth_gauge_(registry_->GetGauge(
+          "dssddi_queue_depth",
+          "Requests queued and not yet cut into a batch")),
+      uptime_gauge_(
+          registry_->GetGauge("dssddi_uptime_seconds", "Service uptime")),
+      model_version_gauge_(registry_->GetGauge(
+          "dssddi_model_version", "Version of the served model snapshot")),
+      bundle_load_ms_gauge_(registry_->GetGauge(
+          "dssddi_bundle_load_ms",
+          "Wall-clock load cost of the currently served bundle in "
+          "milliseconds (0 for in-process bundles)")),
+      bundle_bytes_mapped_gauge_(registry_->GetGauge(
+          "dssddi_bundle_bytes_mapped",
+          "Bytes the served bundle holds mmap'd (v4 zero-copy bundles only; "
+          "0 on the heap paths)")),
+      admission_(*registry_, options.admission),
       latency_(registry_->GetHistogram(
           "dssddi_service_latency_ms",
           "Successful-completion latency (submit to completion) in "
@@ -66,19 +107,7 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
     bundle.quantization = static_cast<int>(mode);
   }
   snapshot_ = std::make_shared<const ModelSnapshot>(std::move(bundle),
-                                                    version_.load());
-  bundle_load_ms_gauge_ = registry_->GetGauge(
-      "dssddi_bundle_load_ms",
-      "Wall-clock load cost of the currently served bundle in milliseconds "
-      "(0 for in-process bundles)");
-  bundle_bytes_mapped_gauge_ = registry_->GetGauge(
-      "dssddi_bundle_bytes_mapped",
-      "Bytes the served bundle holds mmap'd (v4 zero-copy bundles only; "
-      "0 on the heap paths)");
-  bundle_generation_gauge_ = registry_->GetGauge(
-      "dssddi_bundle_generation",
-      "Model snapshot version currently being served; advances by one per "
-      "successful reload");
+                                                    /*version=*/1);
   PublishBundleGauges(*snapshot_);
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<SuggestionCache>(options_.cache_capacity,
@@ -130,7 +159,7 @@ void SuggestionService::SubmitAsync(Request request, Completion done) {
              "), k=" + std::to_string(request.k))));
     return;
   }
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  requests_->Increment();
 
   // Fail-fast on a deadline that is already blown at submission: even a
   // cache hit would be delivered late, so don't touch the cache or the
@@ -151,18 +180,20 @@ void SuggestionService::SubmitAsync(Request request, Completion done) {
     key = KeyFor(request, snapshot->version);
     core::Suggestion cached;
     if (cache_->Get(key, &cached)) {
+      cache_hits_->Increment();
       RecordLatency(MillisSince(start));
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      completed_->Increment();
       done(std::move(cached), snapshot, nullptr);
       return;
     }
+    cache_misses_->Increment();
     // Singleflight: if the same keyed query is already being scored,
     // ride on that computation instead of scoring it again.
     {
       std::lock_guard<std::mutex> lock(inflight_mutex_);
       auto it = inflight_.find(key);
       if (it != inflight_.end()) {
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
+        coalesced_->Increment();
         it->second.push_back(Waiter{std::move(done), start});
         return;
       }
@@ -226,10 +257,10 @@ io::Status SuggestionService::Reload(io::InferenceBundle bundle) {
         "reload rejected: feature width " + std::to_string(new_width) +
         " != served width " + std::to_string(current->feature_width()));
   }
-  const uint64_t next_version =
-      version_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // reload_mutex_ serializes writers, so the next version is simply the
+  // current one plus one.
   auto next = std::make_shared<const ModelSnapshot>(std::move(bundle),
-                                                    next_version);
+                                                    current->version + 1);
   // Correctness does not depend on ordering here: cache keys carry the
   // snapshot version their submitter loaded, so v2-keyed entries can
   // only ever hold v2-scored results. BumpGeneration is reclamation —
@@ -237,7 +268,7 @@ io::Status SuggestionService::Reload(io::InferenceBundle bundle) {
   // own generation for standalone users of that API).
   std::atomic_store(&snapshot_, std::static_pointer_cast<const ModelSnapshot>(next));
   if (cache_) cache_->BumpGeneration();
-  reloads_.fetch_add(1, std::memory_order_relaxed);
+  reloads_->Increment();
   PublishBundleGauges(*next);
   // Reloads are rare, load-bearing events — exactly what the flight
   // recorder exists for. total_ms carries the bundle's load cost so a
@@ -256,7 +287,7 @@ void SuggestionService::PublishBundleGauges(const ModelSnapshot& snapshot) {
   bundle_load_ms_gauge_->Set(snapshot.bundle.load_ms);
   bundle_bytes_mapped_gauge_->Set(
       static_cast<double>(snapshot.bundle.bytes_mapped()));
-  bundle_generation_gauge_->Set(static_cast<double>(snapshot.version));
+  model_version_gauge_->Set(static_cast<double>(snapshot.version));
 }
 
 size_t SuggestionService::QueueDepth() const {
@@ -264,9 +295,18 @@ size_t SuggestionService::QueueDepth() const {
 }
 
 uint64_t SuggestionService::InFlight() const {
-  const uint64_t requests = requests_.load(std::memory_order_relaxed);
-  const uint64_t completed = completed_.load(std::memory_order_relaxed);
+  // Completed first: a completion landing between the two reads then
+  // over-reports by one instead of under-reporting (the gate errs toward
+  // shedding); the clamp guards what the relaxed reads leave open.
+  const uint64_t completed = completed_->Value();
+  const uint64_t requests = requests_->Value();
   return requests > completed ? requests - completed : 0;
+}
+
+void SuggestionService::RefreshGauges() const {
+  in_flight_gauge_->Set(static_cast<double>(InFlight()));
+  queue_depth_gauge_->Set(static_cast<double>(QueueDepth()));
+  uptime_gauge_->Set(uptime_.ElapsedSeconds());
 }
 
 void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
@@ -292,6 +332,8 @@ void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
   const std::shared_ptr<const ModelSnapshot> snapshot = this->snapshot();
   const int width = snapshot->feature_width();
   const int total = static_cast<int>(batch.size());
+  batches_->Increment();
+  batch_rows_->Add(static_cast<uint64_t>(total));
 
   // Score the whole batch in one kernel-backed matrix pass. The
   // hand-rolled score tiling that used to live here is gone: keeping the
@@ -343,7 +385,7 @@ void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
         ResolveInflight(pending.key, suggestion, snapshot);
       }
       RecordLatency(MillisSince(pending.enqueue_time));
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      completed_->Increment();
       // Count this request finished BEFORE invoking its completion,
       // and swallow completion throws here like every other delivery
       // path does — the catch below is for scoring failures only and
@@ -373,7 +415,7 @@ void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
       if (cache_ && pending.request.explain && pending.request.patient_id >= 0) {
         FailInflight(pending.key, error);
       }
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      completed_->Increment();
       try {
         pending.Fail(error);
       } catch (...) {
@@ -395,8 +437,8 @@ void SuggestionService::ExpireRequest(PendingRequest& pending,
       pending.request.patient_id >= 0) {
     FailInflight(pending.key, error);
   }
-  expired_.fetch_add(1, std::memory_order_relaxed);
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  expired_->Increment();
+  completed_->Increment();
   // Library callers leave `arrival` at the epoch default; report 0
   // rather than a nonsense duration for those.
   const double waited_ms =
@@ -448,7 +490,7 @@ void SuggestionService::ResolveInflight(
   }
   for (Waiter& waiter : waiters) {
     RecordLatency(MillisSince(waiter.start));
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    completed_->Increment();
     // One throwing waiter must not abandon the rest — they have already
     // been moved out of the map and would be lost with the unwind.
     try {
@@ -470,7 +512,7 @@ void SuggestionService::FailInflight(const CacheKey& key,
     inflight_.erase(it);
   }
   for (Waiter& waiter : waiters) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    completed_->Increment();
     try {
       waiter.done(core::Suggestion{}, nullptr, error);
     } catch (...) {
@@ -484,34 +526,31 @@ void SuggestionService::RecordLatency(double millis) {
 }
 
 ServiceStats SuggestionService::Stats() const {
+  RefreshGauges();
   ServiceStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
-  const RequestBatcher::DispatchCounters dispatch = batcher_->dispatch_counters();
-  stats.batches = dispatch.batches;
+  stats.requests = requests_->Value();
+  stats.completed = completed_->Value();
+  stats.batches = batches_->Value();
   stats.mean_batch_size =
       stats.batches == 0
           ? 0.0
-          : static_cast<double>(dispatch.requests) / stats.batches;
-  if (cache_) {
-    const CacheCounters counters = cache_->Counters();
-    stats.cache_hits = counters.hits;
-    stats.cache_misses = counters.misses;
-    stats.cache_hit_rate = counters.hit_rate();
-  }
-  stats.coalesced = coalesced_.load(std::memory_order_relaxed);
-  const AdmissionController::Counters admission = admission_.counters();
-  stats.admitted = admission.admitted;
-  stats.shed = admission.shed;
-  stats.deadline_shed = admission.deadline_shed;
-  stats.degraded_shed = admission.degraded_shed;
+          : static_cast<double>(batch_rows_->Value()) / stats.batches;
+  stats.cache_hits = cache_hits_->Value();
+  stats.cache_misses = cache_misses_->Value();
+  const uint64_t lookups = stats.cache_hits + stats.cache_misses;
+  stats.cache_hit_rate =
+      lookups == 0 ? 0.0 : static_cast<double>(stats.cache_hits) / lookups;
+  stats.coalesced = coalesced_->Value();
+  stats.admitted = admission_.admitted();
+  stats.shed = admission_.shed();
+  stats.deadline_shed = admission_.deadline_shed();
+  stats.degraded_shed = admission_.degraded_shed();
   stats.slo_degraded = admission_.degraded();
-  stats.expired = expired_.load(std::memory_order_relaxed);
-  stats.in_flight = InFlight();
-  stats.queue_depth = QueueDepth();
-  stats.model_version = snapshot()->version;
-  stats.reloads = reloads_.load(std::memory_order_relaxed);
-  stats.uptime_seconds = uptime_.ElapsedSeconds();
+  stats.expired = expired_->Value();
+  stats.in_flight = static_cast<uint64_t>(in_flight_gauge_->Value());
+  stats.queue_depth = static_cast<uint64_t>(queue_depth_gauge_->Value());
+  stats.reloads = reloads_->Value();
+  stats.uptime_seconds = uptime_gauge_->Value();
   stats.qps = stats.uptime_seconds > 0.0
                   ? static_cast<double>(stats.completed) / stats.uptime_seconds
                   : 0.0;
@@ -523,6 +562,7 @@ ServiceStats SuggestionService::Stats() const {
   stats.num_threads = batcher_->num_workers();
   stats.gemm_backend = tensor::kernels::ActiveBackendName();
   const std::shared_ptr<const ModelSnapshot> current = snapshot();
+  stats.model_version = current->version;
   stats.quantization = current->quantization_name();
   if (current->quant_mode() == tensor::kernels::QuantMode::kInt8) {
     const auto append_errors = [&stats](const io::QuantizedMlp& mlp) {

@@ -1,7 +1,6 @@
 #ifndef DSSDDI_SERVE_SERVICE_H_
 #define DSSDDI_SERVE_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -64,12 +63,15 @@ struct ServiceOptions {
   obs::SloEngineOptions slo;
 };
 
-/// Point-in-time service health snapshot.
+/// Point-in-time service health snapshot. A read-only view: every count
+/// and live gauge below is read from the service's metrics registry (the
+/// same series /metricsz renders), and the rest describes the served
+/// model snapshot. No field has storage of its own in the service.
 struct ServiceStats {
   uint64_t requests = 0;       // accepted by Submit
   uint64_t completed = 0;      // completions fired
   uint64_t batches = 0;        // matrix passes dispatched
-  double mean_batch_size = 0.0;
+  double mean_batch_size = 0.0;  // rows scored / batches
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   double cache_hit_rate = 0.0;
@@ -257,7 +259,14 @@ class SuggestionService {
   /// bumped and flushed and `model_version` advances.
   io::Status Reload(io::InferenceBundle bundle);
 
+  /// Refreshes the live gauges, then assembles the snapshot from the
+  /// registry.
   ServiceStats Stats() const;
+
+  /// Stamps the live-value gauges (dssddi_in_flight, dssddi_queue_depth,
+  /// dssddi_uptime_seconds) into the registry. Every render of the
+  /// registry — Stats() and /metricsz — calls this first.
+  void RefreshGauges() const;
 
   /// The current model snapshot (never null). Callers may hold it as
   /// long as they like; it stays valid across reloads.
@@ -265,15 +274,16 @@ class SuggestionService {
 
   const ServiceOptions& options() const { return options_; }
   uint64_t model_version() const { return snapshot()->version; }
+  double uptime_seconds() const { return uptime_.ElapsedSeconds(); }
   int feature_width() const { return snapshot()->feature_width(); }
 
   /// Requests queued and not yet cut into a batch by a worker.
   size_t QueueDepth() const;
 
-  /// The service's metrics registry: every histogram /statsz reads is in
-  /// here, so a /metricsz render and a Stats() call can never disagree.
-  /// Shared so exposition layers (and trace finalizers) may outlive the
-  /// service.
+  /// The service's metrics registry: every count and gauge /statsz reads
+  /// lives here, so a /metricsz render and a Stats() call can never
+  /// disagree. Shared so exposition layers (and trace finalizers) may
+  /// outlive the service.
   const std::shared_ptr<obs::Registry>& registry() const { return registry_; }
   /// Trace sampling/retention for this service's pipeline.
   const std::shared_ptr<obs::TraceCollector>& trace_collector() const {
@@ -312,12 +322,11 @@ class SuggestionService {
   void RecordLatency(double millis);
   uint64_t InFlight() const;
   /// Stamps the bundle-provenance gauges (load_ms, bytes mapped, model
-  /// generation) from a freshly installed snapshot — constructor and
-  /// every successful Reload.
+  /// version) from a freshly installed snapshot — constructor and every
+  /// successful Reload.
   void PublishBundleGauges(const ModelSnapshot& snapshot);
 
   ServiceOptions options_;
-  AdmissionController admission_;
 
   /// Declared before every component that records into them (and before
   /// the batcher whose destructor flushes completions), so they are
@@ -327,22 +336,32 @@ class SuggestionService {
   std::shared_ptr<obs::TraceCollector> collector_;
   std::shared_ptr<obs::FlightRecorder> recorder_;
 
-  /// Bundle-provenance gauges, registered once at construction; pointers
-  /// are stable for the registry's lifetime.
-  obs::Gauge* bundle_load_ms_gauge_ = nullptr;
-  obs::Gauge* bundle_bytes_mapped_gauge_ = nullptr;
-  obs::Gauge* bundle_generation_gauge_ = nullptr;
+  /// Every serving count and gauge, registered once at construction;
+  /// each event is counted at the one place that knows it happened.
+  /// Pointers are stable for the registry's lifetime.
+  obs::Counter* requests_;
+  obs::Counter* completed_;
+  obs::Counter* expired_;
+  obs::Counter* coalesced_;
+  obs::Counter* batches_;
+  obs::Counter* batch_rows_;
+  obs::Counter* cache_hits_;
+  obs::Counter* cache_misses_;
+  obs::Counter* reloads_;
+  obs::Gauge* in_flight_gauge_;
+  obs::Gauge* queue_depth_gauge_;
+  obs::Gauge* uptime_gauge_;
+  obs::Gauge* model_version_gauge_;
+  obs::Gauge* bundle_load_ms_gauge_;
+  obs::Gauge* bundle_bytes_mapped_gauge_;
+
+  /// Counts its decisions into registry_, so declared after it.
+  AdmissionController admission_;
 
   /// Swapped only by Reload; read via std::atomic_load everywhere.
   std::shared_ptr<const ModelSnapshot> snapshot_;
-  std::atomic<uint64_t> version_{1};
-  std::atomic<uint64_t> reloads_{0};
   std::mutex reload_mutex_;
 
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> expired_{0};
   util::Stopwatch uptime_;
 
   std::mutex inflight_mutex_;

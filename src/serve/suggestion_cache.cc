@@ -28,11 +28,7 @@ bool SuggestionCache::Get(const CacheKey& key, core::Suggestion* out) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  if (it == shard.index.end()) return false;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   *out = it->second->second;
   return true;
@@ -50,7 +46,6 @@ void SuggestionCache::Put(const CacheKey& key, core::Suggestion value) {
   if (shard.lru.size() >= shard.capacity) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
   }
   shard.lru.emplace_front(key, std::move(value));
   shard.index[key] = shard.lru.begin();
@@ -71,18 +66,6 @@ uint64_t SuggestionCache::BumpGeneration() {
   const uint64_t next = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
   Clear();
   return next;
-}
-
-CacheCounters SuggestionCache::Counters() const {
-  CacheCounters total;
-  for (const auto& shard : shards_) {
-    total.hits += shard->hits.load(std::memory_order_relaxed);
-    total.misses += shard->misses.load(std::memory_order_relaxed);
-    total.evictions += shard->evictions.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total.entries += shard->lru.size();
-  }
-  return total;
 }
 
 }  // namespace dssddi::serve

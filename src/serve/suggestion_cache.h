@@ -52,28 +52,13 @@ struct CacheKeyHash {
   }
 };
 
-/// Counter snapshot; all counters are cumulative since construction.
-struct CacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  size_t entries = 0;
-
-  double hit_rate() const {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-  }
-};
-
 /// Sharded LRU cache of served suggestions. Keys hash to one of
 /// `num_shards` independent shards, each with its own mutex, LRU list and
 /// capacity slice, so concurrent lookups for different patients rarely
 /// contend. Within a shard, eviction is strict LRU (Get refreshes
-/// recency; Put of an existing key overwrites and refreshes).
-///
-/// Hit/miss/eviction counters are atomics, so a stats reader never takes
-/// a shard lock just to observe them and a concurrent Get can never
-/// publish a torn count.
+/// recency; Put of an existing key overwrites and refreshes). The cache
+/// keeps no counts: its caller owns the one Get call site and counts
+/// hits and misses there, in its metrics registry.
 class SuggestionCache {
  public:
   /// `capacity` is the total entry budget across shards (each shard gets
@@ -85,14 +70,14 @@ class SuggestionCache {
   SuggestionCache& operator=(const SuggestionCache&) = delete;
 
   /// On hit copies the cached suggestion into `*out`, refreshes recency
-  /// and returns true. On miss returns false and counts a miss.
+  /// and returns true. On miss returns false.
   bool Get(const CacheKey& key, core::Suggestion* out);
 
   /// Inserts or overwrites `key`, evicting the least-recently-used entry
   /// of the target shard when its slice is full.
   void Put(const CacheKey& key, core::Suggestion value);
 
-  /// Drops every entry; counters are preserved.
+  /// Drops every entry.
   void Clear();
 
   /// Current generation, monotonically increasing from 0. Callers that
@@ -107,19 +92,15 @@ class SuggestionCache {
   /// generation.
   uint64_t BumpGeneration();
 
-  CacheCounters Counters() const;
   size_t capacity() const { return capacity_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct Shard {
-    mutable std::mutex mutex;
+    std::mutex mutex;
     /// Front = most recently used.
     std::list<std::pair<CacheKey, core::Suggestion>> lru;
     std::unordered_map<CacheKey, decltype(lru)::iterator, CacheKeyHash> index;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
     size_t capacity = 0;
   };
 

@@ -3,8 +3,9 @@
 // round-trips, cumulative buckets that are monotone and agree with
 // _count — /tracez must retain the true top-N slowest traces, trace ids
 // must round-trip bit-identically through the JSON body, the X-Trace-Id
-// header, and both binary frame codecs, and a traced request must show
-// up in /tracez with real per-stage timings.
+// header, and both binary frame codecs, a traced request must show up in
+// /tracez with real per-stage timings, and /statsz and /metricsz must
+// report the same counts (both render one registry).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,12 +13,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <set>
@@ -39,6 +43,7 @@
 #include "serve/service.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "test_support.h"
+#include "worker_gate.h"
 
 namespace dssddi {
 namespace {
@@ -789,7 +794,7 @@ TEST_F(ObsEndToEndTest, MetricszServesParseableHistogramsPerRouteAndStage) {
     EXPECT_GE(stage_count->value, static_cast<double>(kRequests)) << hot;
   }
 
-  // The ServiceStats counters render into the same document.
+  // The service counters live in the same registry, so the same document.
   ASSERT_EQ(exposition.types.count("dssddi_service_requests_total"), 1u);
   const PromSample* service_requests =
       exposition.Find("dssddi_service_requests_total", {});
@@ -797,6 +802,253 @@ TEST_F(ObsEndToEndTest, MetricszServesParseableHistogramsPerRouteAndStage) {
   EXPECT_GE(service_requests->value, static_cast<double>(kRequests));
   ASSERT_NE(exposition.Find("dssddi_model_version", {}), nullptr);
   EXPECT_EQ(exposition.Find("dssddi_model_version", {})->value, 1.0);
+
+  server.Stop();
+}
+
+TEST_F(ObsEndToEndTest, StatszAndMetricszRenderTheSameCounts) {
+  // Every serving count lives in the service's registry, and /statsz and
+  // /metricsz are two renders of it. Drive each count through a real
+  // server (a cache miss, a hit and a coalesced ride; a 429 load shed and
+  // a 504 deadline shed; a post-admission expiry, a 400 and one reload),
+  // then check that the two views agree sample for sample in both
+  // exposition dialects.
+  const std::string reload_path =
+      ::testing::TempDir() + "dssddi_obs_agreement.dssb";
+  ASSERT_TRUE(io::SaveInferenceBundle(reload_path, *bundle_).ok);
+
+  serve::ServiceOptions service_options;
+  service_options.num_threads = 1;  // one worker, parked to build queues
+  service_options.max_batch_size = 16;
+  service_options.admission.max_queue_depth = 32;
+  serve::SuggestionService service(*bundle_, service_options);
+  net::SuggestFrontend frontend(&service);
+  net::HttpServerOptions server_options;
+  server_options.port = 0;
+  net::HttpServer server(server_options, frontend.AsHandler());
+  frontend.AttachServer(&server);
+  ASSERT_TRUE(server.Start().ok);
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok);
+  const std::vector<int>& patients = dataset_->split.test;
+  ASSERT_GE(patients.size(), 3u);
+
+  const auto post = [&](net::HttpClient& via, const std::string& body,
+                        const net::ClientRequestOptions& options) {
+    net::ClientResponse response;
+    EXPECT_TRUE(
+        via.Request("POST", "/v1/suggest", body, options, &response).ok);
+    return response.status;
+  };
+  // Runs `send` from `senders` connections while the only worker is
+  // parked, releasing the worker once `ready` holds (or every sender was
+  // already answered, so a wrong answer fails instead of hanging).
+  const auto behind_parked_worker =
+      [&](const std::function<bool()>& ready,
+          const std::function<void(net::HttpClient&)>& send, int senders) {
+        testing::WorkerGate gate;
+        testing::ParkWorker(service, gate);
+        std::atomic<int> answered{0};
+        std::vector<std::thread> threads;
+        for (int i = 0; i < senders; ++i) {
+          threads.emplace_back([&] {
+            net::HttpClient own;
+            EXPECT_TRUE(own.Connect("127.0.0.1", server.port()).ok);
+            send(own);
+            answered.fetch_add(1);
+          });
+        }
+        while (!ready() && answered.load() < senders) {
+          std::this_thread::yield();
+        }
+        gate.Release();
+        for (std::thread& thread : threads) thread.join();
+      };
+
+  // A miss, then a hit on the same question.
+  const std::string cached_body = SuggestBody(patients[0], 3);
+  EXPECT_EQ(post(client, cached_body, {}), 200);
+  EXPECT_EQ(post(client, cached_body, {}), 200);
+
+  // Two identical questions behind a parked worker: one leads, the
+  // other rides it.
+  const std::string shared_body = SuggestBody(patients[1], 3);
+  behind_parked_worker(
+      [&] { return service.Stats().coalesced == 1; },
+      [&](net::HttpClient& own) { EXPECT_EQ(post(own, shared_body, {}), 200); },
+      2);
+
+  // Admitted with a 50 ms budget, then held in the queue past it: the
+  // cut's expiry sweep answers 504 without scoring it.
+  net::ClientRequestOptions tight;
+  tight.deadline_ms = 5000;          // the client waits for the 504
+  tight.advertise_deadline_ms = 50;  // ...but hands the server 50 ms
+  auto queued_since = std::chrono::steady_clock::now();
+  behind_parked_worker(
+      [&] {
+        if (service.QueueDepth() == 0) {
+          queued_since = std::chrono::steady_clock::now();
+          return false;
+        }
+        return std::chrono::steady_clock::now() - queued_since >
+               std::chrono::milliseconds(60);
+      },
+      [&](net::HttpClient& own) {
+        EXPECT_EQ(post(own, SuggestBody(patients[2], 3), tight), 504);
+      },
+      1);
+
+  // Library requests queue behind a parked worker past the queue bound,
+  // so an HTTP arrival is load-shed (429). Held 30 ms, they then teach
+  // the admission gate a p50 that a 5 ms budget cannot cover (504).
+  {
+    testing::WorkerGate gate;
+    testing::ParkWorker(service, gate);
+    constexpr int kQueued = 64;
+    std::vector<std::future<core::Suggestion>> futures;
+    for (int i = 0; i < kQueued; ++i) {
+      serve::Request request;
+      request.features = PatientFeatures(patients[0]);
+      request.explain = false;  // no patient id either: bypasses the cache
+      futures.push_back(service.Submit(std::move(request)));
+    }
+    EXPECT_EQ(post(client, cached_body, {}), 429);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    gate.Release();
+    for (auto& future : futures) future.get();
+  }
+  net::ClientRequestOptions infeasible;
+  infeasible.deadline_ms = 5000;
+  infeasible.advertise_deadline_ms = 5;
+  EXPECT_EQ(post(client, cached_body, infeasible), 504);
+
+  // A malformed body and one reload.
+  net::ClientResponse bad;
+  ASSERT_TRUE(client.Request("POST", "/v1/suggest", "{not json", &bad).ok);
+  EXPECT_EQ(bad.status, 400);
+  net::ClientResponse reloaded;
+  ASSERT_TRUE(client
+                  .Request("POST", "/admin/reload",
+                           "{\"path\":\"" + reload_path + "\"}", &reloaded)
+                  .ok);
+  EXPECT_EQ(reloaded.status, 200) << reloaded.body;
+
+  net::ClientResponse statsz;
+  ASSERT_TRUE(client.Request("GET", "/statsz", "", &statsz).ok);
+  ASSERT_EQ(statsz.status, 200);
+  net::JsonValue stats;
+  std::string error;
+  ASSERT_TRUE(net::ParseJson(statsz.body, &stats, &error)) << error;
+  const auto stat = [&](const char* section, const char* key) {
+    const net::JsonValue* object = stats.Find(section);
+    EXPECT_NE(object, nullptr) << section;
+    const net::JsonValue* value =
+        object == nullptr ? nullptr : object->Find(key);
+    EXPECT_NE(value, nullptr) << section << "." << key;
+    return value == nullptr ? -1.0 : value->AsDouble();
+  };
+  // Each driven event was counted exactly once.
+  EXPECT_EQ(stat("cache", "hits"), 1.0);
+  EXPECT_EQ(stat("cache", "coalesced"), 1.0);
+  EXPECT_EQ(stat("admission", "shed"), 1.0);
+  EXPECT_EQ(stat("admission", "deadline_shed"), 1.0);
+  EXPECT_EQ(stat("service", "expired"), 1.0);
+  EXPECT_EQ(stat("http", "bad_requests"), 1.0);
+  EXPECT_EQ(stat("model", "reloads"), 1.0);
+  EXPECT_EQ(stat("service", "in_flight"), 0.0);
+  EXPECT_EQ(stat("service", "queue_depth"), 0.0);
+
+  struct Pairing {
+    const char* section;
+    const char* key;
+    const char* sample;
+    std::map<std::string, std::string> labels;
+  };
+  const std::vector<Pairing> pairings = {
+      {"service", "requests", "dssddi_service_requests_total", {}},
+      {"service", "completed", "dssddi_service_completed_total", {}},
+      {"service", "expired", "dssddi_service_expired_total", {}},
+      {"service", "batches", "dssddi_service_batches_total", {}},
+      {"service", "in_flight", "dssddi_in_flight", {}},
+      {"service", "queue_depth", "dssddi_queue_depth", {}},
+      {"admission", "admitted", "dssddi_admission_total",
+       {{"decision", "admitted"}}},
+      {"admission", "shed", "dssddi_admission_total",
+       {{"decision", "shed_load"}}},
+      {"admission", "deadline_shed", "dssddi_admission_total",
+       {{"decision", "shed_deadline"}}},
+      {"admission", "degraded_shed", "dssddi_admission_total",
+       {{"decision", "shed_degraded"}}},
+      {"cache", "hits", "dssddi_cache_total", {{"outcome", "hit"}}},
+      {"cache", "misses", "dssddi_cache_total", {{"outcome", "miss"}}},
+      {"cache", "coalesced", "dssddi_service_coalesced_total", {}},
+      {"model", "version", "dssddi_model_version", {}},
+      {"model", "reloads", "dssddi_model_reloads_total", {}},
+      {"http", "bad_requests", "dssddi_http_bad_requests_total", {}},
+  };
+
+  for (const bool openmetrics : {false, true}) {
+    SCOPED_TRACE(openmetrics ? "openmetrics" : "prometheus 0.0.4");
+    net::ClientResponse scrape;
+    ASSERT_TRUE(client
+                    .Request("GET",
+                             openmetrics ? "/metricsz?format=openmetrics"
+                                         : "/metricsz",
+                             "", &scrape)
+                    .ok);
+    ASSERT_EQ(scrape.status, 200);
+    // Both parsers fail on a repeated # TYPE; counting the lines as well
+    // pins "exactly one per family" without relying on that.
+    PromExposition exposition;
+    if (openmetrics) {
+      const OmExposition om = ParseOpenMetrics(scrape.body);
+      exposition.types = om.types;
+      exposition.help = om.help;
+      for (const OmSample& s : om.samples) {
+        exposition.samples.push_back({s.name, s.labels, s.value});
+      }
+    } else {
+      exposition = ParsePrometheus(scrape.body);
+    }
+    size_t type_lines = 0;
+    for (size_t pos = scrape.body.find("# TYPE "); pos != std::string::npos;
+         pos = scrape.body.find("# TYPE ", pos + 1)) {
+      ++type_lines;
+    }
+    EXPECT_EQ(type_lines, exposition.types.size());
+
+    for (const Pairing& pairing : pairings) {
+      const PromSample* sample =
+          exposition.Find(pairing.sample, pairing.labels);
+      ASSERT_NE(sample, nullptr) << pairing.sample;
+      EXPECT_EQ(sample->value, stat(pairing.section, pairing.key))
+          << pairing.section << "." << pairing.key << " vs "
+          << pairing.sample;
+    }
+    const PromSample* version = exposition.Find("dssddi_model_version", {});
+    ASSERT_NE(version, nullptr);
+    EXPECT_EQ(version->value, 2.0);
+    const PromSample* batches =
+        exposition.Find("dssddi_service_batches_total", {});
+    const PromSample* rows =
+        exposition.Find("dssddi_service_batch_rows_total", {});
+    ASSERT_NE(batches, nullptr);
+    ASSERT_NE(rows, nullptr);
+    ASSERT_GT(batches->value, 0.0);
+    EXPECT_NEAR(rows->value / batches->value,
+                stat("service", "mean_batch_size"), 1e-6);
+    for (const char* route : {"/v1/suggest", "/healthz", "/admin/reload"}) {
+      const PromSample* requests =
+          exposition.Find("dssddi_http_requests_total", {{"route", route}});
+      ASSERT_NE(requests, nullptr) << route;
+      const net::JsonValue* routes = stats.Find("routes");
+      ASSERT_NE(routes, nullptr);
+      ASSERT_NE(routes->Find(route), nullptr) << route;
+      EXPECT_EQ(requests->value,
+                routes->Find(route)->Find("requests")->AsDouble())
+          << route;
+    }
+  }
 
   server.Stop();
 }

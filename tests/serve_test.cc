@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <memory>
@@ -128,12 +129,11 @@ TEST(SuggestionCacheTest, HitReturnsStoredValue) {
   core::Suggestion out;
   ASSERT_TRUE(cache.Get({7, 3}, &out));
   EXPECT_EQ(out.drugs, (std::vector<int>{42, 43}));
-  // Same patient, different k is a different entry.
+  // Same patient, different k is a different entry; the miss inserts
+  // nothing and the hit leaves its entry in place.
   EXPECT_FALSE(cache.Get({7, 4}, &out));
-  const auto counters = cache.Counters();
-  EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_EQ(counters.entries, 1u);
+  EXPECT_FALSE(cache.Get({7, 4}, &out));
+  EXPECT_TRUE(cache.Get({7, 3}, &out));
 }
 
 TEST(SuggestionCacheTest, EvictsLeastRecentlyUsedInOrder) {
@@ -156,9 +156,10 @@ TEST(SuggestionCacheTest, EvictsLeastRecentlyUsedInOrder) {
   EXPECT_FALSE(cache.Get({1, 1}, &out));
   EXPECT_TRUE(cache.Get({3, 1}, &out));
 
-  const auto counters = cache.Counters();
-  EXPECT_EQ(counters.evictions, 2u);
-  EXPECT_EQ(counters.entries, 3u);
+  // Two evictions in all: exactly the three newest-used entries remain.
+  EXPECT_FALSE(cache.Get({2, 1}, &out));
+  EXPECT_TRUE(cache.Get({4, 1}, &out));
+  EXPECT_TRUE(cache.Get({5, 1}, &out));
 }
 
 TEST(SuggestionCacheTest, PutOfExistingKeyOverwritesAndRefreshes) {
@@ -182,10 +183,9 @@ TEST(SuggestionCacheTest, BumpGenerationFlushesAndIsolatesOldEntries) {
 
   EXPECT_EQ(cache.BumpGeneration(), 1u);
   EXPECT_EQ(cache.generation(), 1u);
-  EXPECT_EQ(cache.Counters().entries, 0u);  // flushed
 
   core::Suggestion out;
-  EXPECT_FALSE(cache.Get(old_key, &out));
+  EXPECT_FALSE(cache.Get(old_key, &out));  // flushed
   // Even a stale Put that raced the flush stays invisible to callers
   // keying with the new generation.
   cache.Put(old_key, MakeSuggestion(1));
@@ -223,11 +223,18 @@ TEST(SuggestionCacheTest, ThreadSafeUnderConcurrentHammering) {
   }
   for (auto& worker : workers) worker.join();
 
-  const auto counters = cache.Counters();
-  EXPECT_EQ(counters.hits, observed_hits.load());
-  EXPECT_EQ(counters.misses, observed_misses.load());
-  EXPECT_LE(counters.entries, 64u + 8u);  // capacity, rounded up per shard
-  EXPECT_GT(counters.hits + counters.misses, 0u);
+  EXPECT_GT(observed_hits.load() + observed_misses.load(), 0u);
+  // Every key the threads used that still answers is a resident entry:
+  // no more than the capacity, rounded up per shard.
+  size_t resident = 0;
+  for (int id = 0; id < 200; ++id) {
+    for (int k = 1; k <= 3; ++k) {
+      core::Suggestion out;
+      if (cache.Get({id, k}, &out)) ++resident;
+    }
+  }
+  EXPECT_GT(resident, 0u);
+  EXPECT_LE(resident, 64u + 8u);
 }
 
 // ---------------------------------------------------------------------
@@ -254,12 +261,16 @@ bool IsParkingBatch(const std::vector<serve::PendingRequest>& batch) {
 TEST(RequestBatcherTest, GroupsRequestsUpToBatchCeiling) {
   std::mutex mutex;
   std::vector<size_t> batch_sizes;
+  size_t handled_batches = 0;  // the parking batch included
+  size_t handled_requests = 0;
   serve::RequestBatcher::Options options;
   options.max_batch_size = 4;
   serve::RequestBatcher batcher(options, [&](std::vector<serve::PendingRequest> batch) {
-    if (!IsParkingBatch(batch)) {
+    {
       std::lock_guard<std::mutex> lock(mutex);
-      batch_sizes.push_back(batch.size());
+      ++handled_batches;
+      handled_requests += batch.size();
+      if (!IsParkingBatch(batch)) batch_sizes.push_back(batch.size());
     }
     for (auto& pending : batch) pending.Complete({});
   });
@@ -291,8 +302,8 @@ TEST(RequestBatcherTest, GroupsRequestsUpToBatchCeiling) {
   }
   EXPECT_EQ(total, 10u);
   // The parking request is one more request in one more batch.
-  EXPECT_EQ(batcher.requests_dispatched(), 10u + 1u);
-  EXPECT_EQ(batcher.batches_dispatched(), batch_sizes.size() + 1u);
+  EXPECT_EQ(handled_requests, 10u + 1u);
+  EXPECT_EQ(handled_batches, batch_sizes.size() + 1u);
 }
 
 TEST(RequestBatcherTest, RequestsQueuedBehindABusyWorkerAreCutAsOneBatch) {
@@ -301,12 +312,12 @@ TEST(RequestBatcherTest, RequestsQueuedBehindABusyWorkerAreCutAsOneBatch) {
   // in the next cut, as one matrix pass.
   constexpr int kQueued = 20;
   std::mutex mutex;
-  std::vector<size_t> batch_sizes;
+  std::vector<size_t> batch_sizes;  // the parking batch included
   std::atomic<int> completions{0};
   serve::RequestBatcher::Options options;
   options.max_batch_size = 32;
   serve::RequestBatcher batcher(options, [&](std::vector<serve::PendingRequest> batch) {
-    if (!IsParkingBatch(batch)) {
+    {
       std::lock_guard<std::mutex> lock(mutex);
       batch_sizes.push_back(batch.size());
     }
@@ -327,8 +338,8 @@ TEST(RequestBatcherTest, RequestsQueuedBehindABusyWorkerAreCutAsOneBatch) {
   while (completions.load() < kQueued + 1) std::this_thread::yield();
 
   std::lock_guard<std::mutex> lock(mutex);
-  EXPECT_EQ(batch_sizes, (std::vector<size_t>{kQueued}));
-  EXPECT_EQ(batcher.batches_dispatched(), 2u);  // the parking batch + one
+  // The parking batch, then everything that queued behind it as one.
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{1, kQueued}));
   EXPECT_EQ(batcher.QueueDepth(), 0u);
 }
 
@@ -425,13 +436,9 @@ TEST(RequestBatcherTest, SweepsExpiredAndOrdersBatchOldestDeadlineFirst) {
   std::lock_guard<std::mutex> lock(mutex);
   ASSERT_EQ(expired_ids.size(), 1u);
   EXPECT_EQ(expired_ids[0], 9);  // swept before scoring, no batch slot
+  // One batch besides the parking one, holding the three live requests.
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0], (std::vector<int64_t>{3, 2, 1}));  // oldest first
-  // Counters include the parking request's batch.
-  const auto counters = batcher.dispatch_counters();
-  EXPECT_EQ(counters.batches, 1u + 1u);
-  EXPECT_EQ(counters.requests, 3u + 1u);
-  EXPECT_EQ(counters.expired, 1u);
 }
 
 TEST(RequestBatcherTest, NoDeadlineRequestsSortAfterDeadlinesAndKeepFifo) {
@@ -790,30 +797,53 @@ TEST_F(SuggestionServiceTest, ConcurrentMixedLoadStaysConsistent) {
   for (auto& client : clients) client.join();
   EXPECT_EQ(failures.load(), 0);
   const serve::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.completed, 100u);
   EXPECT_GT(stats.cache_hits, 0u);
+  // Conservation: each event is counted once, at the one place that knows
+  // it happened, so the drained counts add up exactly. Every request did
+  // one cache lookup, and every one was answered by exactly one of a
+  // hit, a ride on an identical in-flight query, or a batch row.
+  EXPECT_EQ(stats.requests, 100u);
+  EXPECT_EQ(stats.completed, 100u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 100u);
+  const uint64_t rows = static_cast<uint64_t>(
+      std::llround(stats.mean_batch_size * static_cast<double>(stats.batches)));
+  EXPECT_EQ(stats.cache_hits + stats.coalesced + rows, 100u);
 }
 
 // ---------------------------------------------------------------------
 // Admission control and hot reload.
 // ---------------------------------------------------------------------
 
+/// One dssddi_admission_total series, read from the registry a gate
+/// counts its decisions into.
+uint64_t Decisions(obs::Registry& registry, const char* decision) {
+  return registry
+      .GetCounter("dssddi_admission_total", "", {{"decision", decision}})
+      ->Value();
+}
+
 TEST(AdmissionControllerTest, EnforcesBothBoundsAndCounts) {
   serve::AdmissionController::Options options;
   options.max_in_flight = 2;
   options.max_queue_depth = 3;
-  serve::AdmissionController gate(options);
+  obs::Registry registry;
+  serve::AdmissionController gate(registry, options);
   EXPECT_TRUE(gate.enabled());
 
   EXPECT_TRUE(gate.Admit(/*in_flight=*/0, /*queue_depth=*/0));
   EXPECT_TRUE(gate.Admit(1, 2));
   EXPECT_FALSE(gate.Admit(2, 0));  // in-flight bound
   EXPECT_FALSE(gate.Admit(0, 3));  // queue bound
-  const auto counters = gate.counters();
-  EXPECT_EQ(counters.admitted, 2u);
-  EXPECT_EQ(counters.shed, 2u);
+  EXPECT_EQ(Decisions(registry, "admitted"), 2u);
+  EXPECT_EQ(Decisions(registry, "shed_load"), 2u);
+  EXPECT_EQ(gate.admitted(), 2u);
+  EXPECT_EQ(gate.shed(), 2u);
 
-  serve::AdmissionController open;  // both bounds 0 = admit everything
+  obs::Registry open_registry;
+  // Both bounds 0 = admit everything.
+  serve::AdmissionController open(open_registry, {});
   EXPECT_FALSE(open.enabled());
   EXPECT_TRUE(open.Admit(1u << 20, 1u << 20));
 }
@@ -824,32 +854,34 @@ TEST(AdmissionControllerTest, ExactlyAtBoundBehavior) {
   // wastes one forever.
   serve::AdmissionController::Options options;
   options.max_in_flight = 4;
-  serve::AdmissionController in_flight_gate(options);
+  obs::Registry registry;
+  serve::AdmissionController in_flight_gate(registry, options);
   EXPECT_TRUE(in_flight_gate.Admit(3, 0));
   EXPECT_FALSE(in_flight_gate.Admit(4, 0));
   EXPECT_FALSE(in_flight_gate.Admit(5, 0));
 
   serve::AdmissionController::Options queue_options;
   queue_options.max_queue_depth = 2;
-  serve::AdmissionController queue_gate(queue_options);
+  serve::AdmissionController queue_gate(registry, queue_options);
   EXPECT_TRUE(queue_gate.Admit(0, 1));
   EXPECT_FALSE(queue_gate.Admit(0, 2));
 }
 
 TEST(AdmissionControllerTest, BothBoundsZeroPassThroughCountsAdmitted) {
-  serve::AdmissionController open;
+  obs::Registry registry;
+  serve::AdmissionController open(registry, {});
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(open.Admit(static_cast<size_t>(i) << 20, 1u << 30));
   }
-  const auto counters = open.counters();
-  EXPECT_EQ(counters.admitted, 100u);
-  EXPECT_EQ(counters.shed, 0u);
-  EXPECT_EQ(counters.deadline_shed, 0u);
+  EXPECT_EQ(Decisions(registry, "admitted"), 100u);
+  EXPECT_EQ(Decisions(registry, "shed_load"), 0u);
+  EXPECT_EQ(Decisions(registry, "shed_deadline"), 0u);
 }
 
 TEST(AdmissionControllerTest, DeadlineFeasibilityShedsSeparately) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  serve::AdmissionController gate;  // depth bounds open
+  obs::Registry registry;
+  serve::AdmissionController gate(registry, {});  // depth bounds open
   using Decision = serve::AdmissionController::Decision;
 
   // Already expired: shed regardless of the (unknown) p50.
@@ -863,15 +895,16 @@ TEST(AdmissionControllerTest, DeadlineFeasibilityShedsSeparately) {
   // Unknown p50 (0.0): only expiry sheds.
   EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 0.001, 0.0), Decision::kAdmit);
 
-  const auto counters = gate.counters();
-  EXPECT_EQ(counters.deadline_shed, 3u);
-  EXPECT_EQ(counters.shed, 0u);  // counted separately from load sheds
-  EXPECT_EQ(counters.admitted, 3u);
+  EXPECT_EQ(Decisions(registry, "shed_deadline"), 3u);
+  // Counted separately from load sheds.
+  EXPECT_EQ(Decisions(registry, "shed_load"), 0u);
+  EXPECT_EQ(Decisions(registry, "admitted"), 3u);
 
   // Headroom factor demands margin beyond the bare p50.
   serve::AdmissionController::Options cautious;
   cautious.deadline_headroom = 2.0;
-  serve::AdmissionController cautious_gate(cautious);
+  obs::Registry cautious_registry;
+  serve::AdmissionController cautious_gate(cautious_registry, cautious);
   EXPECT_EQ(cautious_gate.AdmitWithDeadline(0, 0, 15.0, 10.0),
             Decision::kShedDeadline);
   EXPECT_EQ(cautious_gate.AdmitWithDeadline(0, 0, 25.0, 10.0),
@@ -881,7 +914,8 @@ TEST(AdmissionControllerTest, DeadlineFeasibilityShedsSeparately) {
   // counted (or reported) as overload.
   serve::AdmissionController::Options bounded;
   bounded.max_in_flight = 1;
-  serve::AdmissionController both_gate(bounded);
+  obs::Registry both_registry;
+  serve::AdmissionController both_gate(both_registry, bounded);
   EXPECT_EQ(both_gate.AdmitWithDeadline(5, 0, 1.0, 10.0),
             Decision::kShedDeadline);
   EXPECT_EQ(both_gate.AdmitWithDeadline(5, 0, kInf, 0.0),
@@ -894,7 +928,8 @@ TEST(AdmissionControllerTest, ProbesEveryNthInfeasibleDeadline) {
   // infeasible-budget request were shed, a stale-high estimate would
   // keep the gate shut forever. Every 16th candidate goes through as a
   // probe instead.
-  serve::AdmissionController gate;
+  obs::Registry registry;
+  serve::AdmissionController gate(registry, {});
   int admitted = 0;
   int shed = 0;
   for (int i = 0; i < 32; ++i) {
@@ -908,7 +943,8 @@ TEST(AdmissionControllerTest, ProbesEveryNthInfeasibleDeadline) {
   EXPECT_EQ(shed, 30);
 
   // Already-expired budgets are never probed — they cannot succeed.
-  serve::AdmissionController expired_gate;
+  obs::Registry expired_registry;
+  serve::AdmissionController expired_gate(expired_registry, {});
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(expired_gate.AdmitWithDeadline(0, 0, -1.0, 0.0),
               Decision::kShedDeadline);
@@ -919,7 +955,8 @@ TEST(AdmissionControllerTest, DegradedModeShedsBatchAndTightensHeadroom) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   using Decision = serve::AdmissionController::Decision;
   using Priority = serve::RequestPriority;
-  serve::AdmissionController gate;  // depth bounds open
+  obs::Registry registry;
+  serve::AdmissionController gate(registry, {});  // depth bounds open
 
   // Healthy gate: both classes pass.
   EXPECT_EQ(gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch),
@@ -944,10 +981,10 @@ TEST(AdmissionControllerTest, DegradedModeShedsBatchAndTightensHeadroom) {
 
   // Degraded sheds count in both `degraded_shed` and `shed`: /metricsz
   // totals stay consistent and the degraded cost stays attributable.
-  auto counters = gate.counters();
-  EXPECT_EQ(counters.degraded_shed, 1u);
-  EXPECT_EQ(counters.shed, 1u);
-  EXPECT_EQ(counters.deadline_shed, 1u);
+  EXPECT_EQ(Decisions(registry, "shed_degraded"), 1u);
+  EXPECT_EQ(Decisions(registry, "shed_load"), 1u);
+  EXPECT_EQ(Decisions(registry, "shed_deadline"), 1u);
+  EXPECT_EQ(gate.degraded_shed(), 1u);
 
   // Exit restores both classes.
   gate.set_degraded(false);
@@ -959,7 +996,8 @@ TEST(AdmissionControllerTest, DegradedModeShedsBatchAndTightensHeadroom) {
   // Opting out of the batch shed leaves only the headroom lever.
   serve::AdmissionController::Options keep_batch;
   keep_batch.degraded_shed_batch = false;
-  serve::AdmissionController no_shed_gate(keep_batch);
+  obs::Registry no_shed_registry;
+  serve::AdmissionController no_shed_gate(no_shed_registry, keep_batch);
   no_shed_gate.set_degraded(true);
   EXPECT_EQ(no_shed_gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch),
             Decision::kAdmit);
@@ -978,7 +1016,7 @@ TEST(AdmissionControllerTest, ColdStartTrackerP50AdmitsDeadlineRequests) {
   EXPECT_EQ(tracker.CachedP50Ms(), 0.0);
 
   using Decision = serve::AdmissionController::Decision;
-  serve::AdmissionController gate;
+  serve::AdmissionController gate(registry, {});
   EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 1.0, tracker.CachedP50Ms()),
             Decision::kAdmit);
   EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 250.0, tracker.CachedP50Ms()),
@@ -1005,7 +1043,8 @@ TEST(AdmissionControllerTest, ConcurrentAdmitCompleteCountersConsistent) {
   // must land in exactly one counter (no torn or lost increments).
   serve::AdmissionController::Options options;
   options.max_in_flight = 8;
-  serve::AdmissionController gate(options);
+  obs::Registry registry;
+  serve::AdmissionController gate(registry, options);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
@@ -1020,12 +1059,14 @@ TEST(AdmissionControllerTest, ConcurrentAdmitCompleteCountersConsistent) {
     });
   }
   for (auto& thread : threads) thread.join();
-  const auto counters = gate.counters();
-  EXPECT_EQ(counters.admitted + counters.shed + counters.deadline_shed,
+  const uint64_t admitted = Decisions(registry, "admitted");
+  const uint64_t shed = Decisions(registry, "shed_load");
+  const uint64_t deadline_shed = Decisions(registry, "shed_deadline");
+  EXPECT_EQ(admitted + shed + deadline_shed,
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_GT(counters.admitted, 0u);
-  EXPECT_GT(counters.shed, 0u);
-  EXPECT_GT(counters.deadline_shed, 0u);
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(shed, 0u);
+  EXPECT_GT(deadline_shed, 0u);
 }
 
 TEST_F(SuggestionServiceTest, TrySubmitShedsWhenInFlightBoundIsHit) {
