@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -813,8 +814,11 @@ TEST_F(ObsEndToEndTest, StatszAndMetricszRenderTheSameCounts) {
   // a 504 deadline shed; a post-admission expiry, a 400 and one reload),
   // then check that the two views agree sample for sample in both
   // exposition dialects.
-  const std::string reload_path =
-      ::testing::TempDir() + "dssddi_obs_agreement.dssb";
+  // Per-process name: concurrent runs of this binary must not reload
+  // each other's half-written file.
+  const std::string reload_path = ::testing::TempDir() +
+                                  "dssddi_obs_agreement_" +
+                                  std::to_string(::getpid()) + ".dssb";
   ASSERT_TRUE(io::SaveInferenceBundle(reload_path, *bundle_).ok);
 
   serve::ServiceOptions service_options;
@@ -1051,6 +1055,7 @@ TEST_F(ObsEndToEndTest, StatszAndMetricszRenderTheSameCounts) {
   }
 
   server.Stop();
+  std::remove(reload_path.c_str());
 }
 
 TEST_F(ObsEndToEndTest, TraceIdRoundTripsBitIdenticallyThroughEveryCodec) {
