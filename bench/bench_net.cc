@@ -648,7 +648,8 @@ int main(int argc, char** argv) {
       const std::string shard_model =
           "/tmp/dssddi_bench_net_model_" +
           std::to_string(static_cast<int>(::getpid())) + ".dssb";
-      if (const io::Status saved = io::SaveInferenceBundle(shard_model, bundle);
+      if (const io::Status saved =
+              io::SaveInferenceBundleV4(shard_model, bundle);
           !saved.ok) {
         std::printf("\nshards grid: could not export model: %s — skipped\n",
                     saved.message.c_str());

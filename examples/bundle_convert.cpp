@@ -4,7 +4,9 @@
 //   bundle_convert <input.dssb> <output_v4.dssb> [--selftest]
 //   bundle_convert --synthetic <output_v3.dssb>
 //
-// The input may be either format (a v4 input makes this a re-pack). With
+// The input may be a v4 file (a re-pack) or a legacy v3 file; this tool
+// is the one place outside the tests that still reads v3, the migration
+// path for models exported before the library wrote v4. With
 // --selftest the tool re-verifies the artifact it just wrote: section
 // checksums, then a zero-copy reload scored bit-identically against the
 // source bundle on a deterministic probe batch, in both float and int8
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "graph/signed_graph.h"
+#include "io/bundle_v3.h"
 #include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
 #include "tensor/kernels/gemm_backend.h"
@@ -139,7 +142,7 @@ int main(int argc, char** argv) {
     }
     const dssddi::io::InferenceBundle bundle = MakeSyntheticBundle();
     if (const dssddi::io::Status status =
-            dssddi::io::SaveInferenceBundle(input, bundle);
+            dssddi::io::WriteBundleV3(input, bundle);
         !status.ok) {
       std::fprintf(stderr, "cannot write %s: %s\n", input.c_str(),
                    status.message.c_str());
@@ -157,16 +160,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // v4 first; anything the v4 loader refuses gets one try as v3. Both
+  // errors are shown when neither reader accepts the file.
   dssddi::io::InferenceBundle bundle;
-  if (const dssddi::io::Status status =
+  const char* format = "v4";
+  if (const dssddi::io::Status v4_status =
           dssddi::io::LoadInferenceBundle(input, &bundle);
-      !status.ok) {
-    std::fprintf(stderr, "cannot load %s: %s\n", input.c_str(),
-                 status.message.c_str());
-    return 1;
+      !v4_status.ok) {
+    format = "v3";
+    if (const dssddi::io::Status v3_status =
+            dssddi::io::ReadBundleV3(input, &bundle);
+        !v3_status.ok) {
+      std::fprintf(stderr, "cannot load %s\n  as v4: %s\n  as v3: %s\n",
+                   input.c_str(), v4_status.message.c_str(),
+                   v3_status.message.c_str());
+      return 1;
+    }
   }
-  std::printf("loaded %s (format v%u, %.2f ms, %d drugs)\n", input.c_str(),
-              bundle.format_version, bundle.load_ms, bundle.num_drugs());
+  std::printf("loaded %s (format %s, %d drugs)\n", input.c_str(), format,
+              bundle.num_drugs());
 
   if (const dssddi::io::Status status =
           dssddi::io::SaveInferenceBundleV4(output, bundle);

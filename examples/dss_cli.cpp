@@ -7,10 +7,14 @@
 //     --patients N      number of test patients to report on (default 3)
 //     --k K             suggestion size (default 4)
 //     --model PATH      bundle path (default /tmp/dssddi_model.dssb)
-//     --reuse           skip training if the bundle file already loads
+//     --reuse           skip training if the bundle file exists (a file
+//                       that exists but fails to load is an error, never
+//                       retrained over)
 //
 // This exercises the io::InferenceBundle path end to end: scores produced
 // by the reloaded bundle are bit-identical to the in-process system.
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -54,15 +58,15 @@ int main(int argc, char** argv) {
 
   io::InferenceBundle bundle;
   bool loaded = false;
-  if (reuse) {
-    if (io::Status status = io::LoadInferenceBundle(model_path, &bundle); status.ok) {
-      std::printf("reusing trained model from %s (%s)\n\n", model_path.c_str(),
-                  bundle.display_name.c_str());
-      loaded = true;
-    } else {
-      std::printf("cannot reuse model: %s\ntraining from scratch instead.\n\n",
-                  status.message.c_str());
+  if (reuse && ::access(model_path.c_str(), F_OK) == 0) {
+    if (io::Status status = io::LoadInferenceBundle(model_path, &bundle);
+        !status.ok) {
+      std::fprintf(stderr, "cannot reuse model: %s\n", status.message.c_str());
+      return 1;
     }
+    std::printf("reusing trained model from %s (%s)\n\n", model_path.c_str(),
+                bundle.display_name.c_str());
+    loaded = true;
   }
 
   if (!loaded) {
@@ -75,7 +79,8 @@ int main(int argc, char** argv) {
     system.Fit(dataset);
 
     bundle = io::ExtractInferenceBundle(system, dataset);
-    if (io::Status status = io::SaveInferenceBundle(model_path, bundle); !status.ok) {
+    if (io::Status status = io::SaveInferenceBundleV4(model_path, bundle);
+        !status.ok) {
       std::printf("warning: could not save model: %s\n", status.message.c_str());
     } else {
       std::printf("model exported to %s\n", model_path.c_str());

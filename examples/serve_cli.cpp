@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 1. Get a bundle: reuse the file if it loads, otherwise train a small
-  //    chronic-cohort system and export it (the dss_cli workflow).
+  // 1. Get a bundle: reuse the file if there is one (exiting if it does
+  //    not load), otherwise train a small chronic-cohort system and
+  //    export it (the dss_cli workflow).
   io::InferenceBundle bundle = examples::LoadOrTrainBundle(model_path);
 
   // 2. Start the service.

@@ -85,11 +85,31 @@ lint_metric_names() {
 echo "== metric-naming lint (src/) =="
 lint_metric_names
 
+# Legacy-format lint: the v3 bundle codec is a migration path, read only
+# by bundle_convert and the tests. Any other includer would put v3 back
+# on the serving path.
+lint_bundle_v3_includes() {
+  local bad
+  bad=$(grep -rlE 'include[[:space:]]*[<"]io/bundle_v3\.h[>"]' src/ examples/ bench/ tests/ \
+        | grep -vxE 'src/io/bundle_v3\.cc|examples/bundle_convert\.cpp|tests/.*' || true)
+  if [[ -n "$bad" ]]; then
+    echo "io/bundle_v3.h included outside bundle_convert and tests/:" >&2
+    echo "$bad" >&2
+    return 1
+  fi
+}
+echo "== legacy bundle format lint (io/bundle_v3.h includers) =="
+lint_bundle_v3_includes
+
 # v3 -> v4 conversion gate: write a synthetic v3 bundle, convert it to
 # the flat mmap format, and insist the zero-copy reload verifies its
 # section checksums and scores bit-identically to the source in both
 # float and int8 modes. This is the offline integrity pass the O(pages)
-# v4 loader intentionally skips at serve time.
+# v4 loader intentionally skips at serve time. Then the refusal step: a
+# server pointed at the v3 file must exit non-zero (the loader names
+# bundle_convert) and leave the file byte-for-byte as it was, never
+# retrain over it. Exit 124 would mean serve_cli was still running
+# (training) when the timeout killed it, so that fails too.
 run_convert_selftest() {
   local dir="$1"
   echo "== bundle v3 -> v4 conversion selftest (${dir}) =="
@@ -98,6 +118,16 @@ run_convert_selftest() {
   "$dir"/examples/bundle_convert --synthetic "$tmp/model_v3.dssb"
   "$dir"/examples/bundle_convert "$tmp/model_v3.dssb" "$tmp/model_v4.dssb" \
     --selftest
+  echo "== serve_cli refuses a v3 bundle without touching it (${dir}) =="
+  cp "$tmp/model_v3.dssb" "$tmp/model_v3.orig"
+  local status=0
+  timeout 30 "$dir"/examples/serve_cli --model "$tmp/model_v3.dssb" \
+    --requests 1 || status=$?
+  if [[ "$status" -eq 0 || "$status" -eq 124 ]]; then
+    echo "serve_cli on a v3 bundle exited ${status}; want a load error" >&2
+    return 1
+  fi
+  cmp "$tmp/model_v3.dssb" "$tmp/model_v3.orig"
   rm -rf "$tmp"
 }
 

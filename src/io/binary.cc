@@ -1,12 +1,15 @@
 #include "io/binary.h"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 namespace dssddi::io {
 namespace {
 
-constexpr uint32_t kFrameMagic = 0x44535344;  // "DSSD" little-endian
 constexpr uint32_t kFrameHeaderVersion = 1;
 
 // Encodes an IEEE-754 float as its bit pattern for endian-stable writes.
@@ -158,11 +161,29 @@ Status ReadFileToString(const std::string& path, std::string* out) {
 }
 
 Status WriteStringToFile(const std::string& path, const std::string& data) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+  // Rewriting `path` in place would change the pages under any process
+  // that maps it, and truncating it would SIGBUS that process past the
+  // new end of file. So write a sibling (same directory, hence same
+  // filesystem, so the rename is atomic) and rename it over `path`: the
+  // old inode lives on for whoever still has it open. The pid and a
+  // process-wide sequence keep concurrent writers off each other's
+  // temporary file; "x" refuses one left behind by a crashed run.
+  static std::atomic<uint64_t> sequence{0};
+  std::string temp;
+  std::FILE* file = nullptr;
+  do {
+    temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(sequence.fetch_add(1));
+    file = std::fopen(temp.c_str(), "wbx");
+  } while (file == nullptr && errno == EEXIST);
   if (file == nullptr) return Status::Error("cannot open for writing: " + path);
   const size_t written = std::fwrite(data.data(), 1, data.size(), file);
-  const bool failed = std::fclose(file) != 0 || written != data.size();
-  if (failed) return Status::Error("write error: " + path);
+  const bool failed = std::fclose(file) != 0 || written != data.size() ||
+                      std::rename(temp.c_str(), path.c_str()) != 0;
+  if (failed) {
+    std::remove(temp.c_str());
+    return Status::Error("write error: " + path);
+  }
   return Status::Ok();
 }
 

@@ -95,8 +95,17 @@ class BinaryReader {
 
 /// Reads a whole file into `out`. Returns an error Status on any failure.
 Status ReadFileToString(const std::string& path, std::string* out);
-/// Writes `data` to `path`, replacing any existing file.
+/// Writes `data` to `path`, replacing any existing file atomically: the
+/// bytes go to a temporary file in the same directory, which is then
+/// renamed over `path`. A process that has `path` open or mapped keeps
+/// the old file's bytes, and on failure the temporary file is removed
+/// and the old file is left as it was. (No fsync: this guards readers of
+/// the file, not against power loss.)
 Status WriteStringToFile(const std::string& path, const std::string& data);
+
+/// Magic tag that opens every framed file ("DSSD" read as a little-endian
+/// u32).
+inline constexpr uint32_t kFrameMagic = 0x44535344;
 
 /// Frames `payload` with a magic tag, a format id + version, and an
 /// FNV-1a checksum, then writes it to `path`. `format_id` distinguishes

@@ -1,6 +1,7 @@
 #include "io/bundle_v4.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -312,6 +313,12 @@ Status ParseSectionTable(const MmapFile& mapping, const std::string& path,
   const uint64_t file_size = r.U64();
   const uint32_t section_count = r.U32();
   r.U32();  // reserved
+  // The framed v3 header shares this one's first four fields (magic,
+  // header version, format id, version), so a v3 bundle is recognisable
+  // here; point its owner at the migration tool.
+  if (magic == kFrameMagic && format_id == kFormatInferenceBundle) {
+    return Status::Error("v3 bundle, convert it with bundle_convert: " + path);
+  }
   if (magic != kBundleV4Magic) return malformed("bad magic");
   if (header_version != kBundleV4HeaderVersion) {
     return malformed("unsupported header version");
@@ -652,12 +659,17 @@ Status SaveInferenceBundleV4(const std::string& path,
   return WriteStringToFile(path, file);
 }
 
+Status LoadInferenceBundle(const std::string& path, InferenceBundle* bundle) {
+  const auto start = std::chrono::steady_clock::now();
+  // A reused destination (e.g. /admin/reload) must not keep a previous
+  // model's state — stale views or a stale mapping would be worse than
+  // stale floats. Only the runtime quantization override survives.
+  InferenceBundle fresh;
+  fresh.quantization = bundle->quantization;
+  *bundle = std::move(fresh);
 
-Status LoadInferenceBundleV4(const std::string& path, InferenceBundle* bundle,
-                             bool prefault) {
   auto mapping = std::make_shared<MmapFile>();
-  if (Status status = MmapFile::Open(path, mapping.get(), prefault);
-      !status.ok) {
+  if (Status status = MmapFile::Open(path, mapping.get()); !status.ok) {
     return status;
   }
   std::vector<SectionRef> sections;
@@ -714,6 +726,10 @@ Status LoadInferenceBundleV4(const std::string& path, InferenceBundle* bundle,
   // quantized with "none" pinned) rebuilds them from the mapped floats —
   // deterministic, so identical to a shipped section.
   bundle->EnsureQuantized();
+  bundle->format_version = kBundleV4Version;
+  bundle->load_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
   return Status::Ok();
 }
 

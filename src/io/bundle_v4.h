@@ -8,13 +8,13 @@
 
 namespace dssddi::io {
 
-struct InferenceBundle;
-
 /// ---------------------------------------------------------------------
-/// Bundle format v4: a single flat little-endian file designed to be
-/// mmap'd and served in place — loading is O(pages touched), not
-/// O(bytes deserialized), and every process mapping the same file shares
-/// one page-cache copy of the weights.
+/// Bundle format v4: the one bundle format the library writes
+/// (SaveInferenceBundleV4) and serves (LoadInferenceBundle). A single
+/// flat little-endian file designed to be mmap'd and served in place —
+/// loading is O(pages touched), not O(bytes deserialized), and every
+/// process mapping the same file shares one page-cache copy of the
+/// weights.
 ///
 /// Layout:
 ///
@@ -70,10 +70,12 @@ struct InferenceBundle;
 /// extents, overlaps, required sections), bounds-checks every descriptor
 /// read, re-validates all CSR invariants, and confirms the stored
 /// skeleton equals ddi.InteractionSkeleton() — so a corrupt or hostile
-/// file fails with a Status at load, never a crash at query time.
+/// file fails with a Status at load, never a crash at query time. A
+/// legacy v3 bundle (framed magic kFrameMagic, same format id) fails
+/// with a Status that names bundle_convert; io/bundle_v3.h reads it.
 /// ---------------------------------------------------------------------
 
-/// "DSD4" read as a little-endian u32 (the v3 framed magic is "DSSD").
+/// "DSD4" read as a little-endian u32 (kFrameMagic, the v3 magic, is "DSSD").
 inline constexpr uint32_t kBundleV4Magic = 0x34445344;
 inline constexpr uint32_t kBundleV4HeaderVersion = 1;
 inline constexpr uint32_t kBundleV4Version = 4;
@@ -91,23 +93,6 @@ enum BundleV4Section : uint32_t {
   kSectionQuantDecoder = 8,
   kSectionGraph = 9,
 };
-
-/// Writes `bundle` as a flat v4 file. The interaction skeleton is
-/// derived (or reused) and serialized alongside the DDI edges so loads
-/// never re-sort; the int8 companions are written in packed kernel
-/// layout when present.
-Status SaveInferenceBundleV4(const std::string& path,
-                             const InferenceBundle& bundle);
-
-/// Maps `path` and builds a zero-copy bundle: matrices, quantized
-/// weights and the skeleton become views into the mapping (retained via
-/// bundle->mapping); only the small descriptors, the metadata strings
-/// and the signed DDI edge list go to the heap. With `prefault` the
-/// mapping is touched page-by-page up front, trading load latency for
-/// no first-query faults. Prefer LoadInferenceBundle, which dispatches
-/// here on the file magic and stamps format_version / load_ms.
-Status LoadInferenceBundleV4(const std::string& path, InferenceBundle* bundle,
-                             bool prefault = false);
 
 /// Recomputes and checks every section's FNV-1a checksum (reads the
 /// whole file — tooling/test use only, not the serving load path).

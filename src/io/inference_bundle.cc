@@ -1,14 +1,11 @@
 #include "io/inference_bundle.h"
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/ms_module.h"
 #include "core/suggestion_model.h"
-#include "io/bundle_v4.h"
-#include "io/serialize.h"
 #include "obs/kernel_timing.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "tensor/nn.h"
@@ -16,13 +13,6 @@
 
 namespace dssddi::io {
 namespace {
-
-// Version 2 added ms_explainer; version-1 files load with the default
-// closest-truss-community explainer. Version 3 appended the int8
-// quantized-MLP sections; older files load fine and rebuild the int8
-// companions from the float weights (deterministically, so rebuilt and
-// shipped quantizations score identical bits).
-constexpr uint32_t kBundleVersion = 3;
 
 FrozenMlp FreezeMlp(const tensor::Mlp& mlp) {
   FrozenMlp frozen;
@@ -35,41 +25,6 @@ FrozenMlp FreezeMlp(const tensor::Mlp& mlp) {
     frozen.layers.push_back(std::move(out));
   }
   return frozen;
-}
-
-void WriteFrozenMlp(BinaryWriter& writer, const FrozenMlp& mlp) {
-  writer.WriteU32(static_cast<uint32_t>(mlp.layers.size()));
-  for (const auto& layer : mlp.layers) {
-    WriteMatrix(writer, layer.weight);
-    WriteMatrix(writer, layer.bias);
-    writer.WriteI32(layer.activation);
-  }
-}
-
-bool ReadFrozenMlp(BinaryReader& reader, FrozenMlp* mlp) {
-  const uint32_t num_layers = reader.ReadU32();
-  if (!reader.ok() || num_layers > 64) {
-    reader.Fail();
-    return false;
-  }
-  // A reused destination must not keep a previous model's int8
-  // companion — it would silently score int8 with stale weights.
-  mlp->quantized.layers.clear();
-  mlp->layers.assign(num_layers, {});
-  for (auto& layer : mlp->layers) {
-    if (!ReadMatrix(reader, &layer.weight)) return false;
-    if (!ReadMatrix(reader, &layer.bias)) return false;
-    layer.activation = reader.ReadI32();
-    if (!reader.ok() || layer.activation < 0 || layer.activation > 4) {
-      reader.Fail();
-      return false;
-    }
-    if (layer.bias.rows() != 1 || layer.bias.cols() != layer.weight.cols()) {
-      reader.Fail();
-      return false;
-    }
-  }
-  return true;
 }
 
 // Nearest-centroid treatment row, matching MdModule::TreatmentRow.
@@ -249,104 +204,6 @@ InferenceBundle ExtractInferenceBundle(const core::DssddiSystem& system,
   return bundle;
 }
 
-Status SaveInferenceBundle(const std::string& path, const InferenceBundle& bundle) {
-  BinaryWriter writer;
-  writer.WriteString(bundle.display_name);
-  WriteFrozenMlp(writer, bundle.patient_fc);
-  WriteFrozenMlp(writer, bundle.decoder);
-  WriteMatrix(writer, bundle.final_drug_reps);
-  WriteMatrix(writer, bundle.cluster_centroids);
-  WriteMatrix(writer, bundle.cluster_treatment);
-  WriteSignedGraph(writer, bundle.ddi);
-  WriteStringVector(writer, bundle.drug_names);
-  writer.WriteU8(bundle.mlp_decoder ? 1 : 0);
-  writer.WriteU8(bundle.use_treatment_feature ? 1 : 0);
-  writer.WriteI32(bundle.hidden_dim);
-  writer.WriteF64(bundle.ms_alpha);
-  writer.WriteU8(static_cast<uint8_t>(bundle.ms_explainer));
-  // Version 3: the pre-quantized int8 MLPs ride along so a serving host
-  // flips to int8 without re-deriving anything. Saving a hand-assembled
-  // bundle that was never quantized writes the sections empty; the
-  // loader rebuilds them from the float weights instead.
-  const bool has_quantized =
-      !bundle.patient_fc.quantized.empty() && !bundle.decoder.quantized.empty();
-  writer.WriteU8(has_quantized ? 1 : 0);
-  if (has_quantized) {
-    WriteQuantizedMlp(writer, bundle.patient_fc.quantized);
-    WriteQuantizedMlp(writer, bundle.decoder.quantized);
-  }
-  return WriteFramedFile(path, kFormatInferenceBundle, kBundleVersion, writer.buffer());
-}
-
-namespace {
-
-// The historical framed-file loader: deserializes every byte onto the
-// heap through BinaryReader. Kept as the v3 path of the magic dispatch
-// in LoadInferenceBundle below.
-Status LoadInferenceBundleV3(const std::string& path, InferenceBundle* bundle) {
-  std::string payload;
-  uint32_t version = 0;
-  if (Status status = ReadFramedFile(path, kFormatInferenceBundle, kBundleVersion,
-                                     &payload, &version);
-      !status.ok) {
-    return status;
-  }
-  BinaryReader reader(payload);
-  bundle->display_name = reader.ReadString();
-  if (!ReadFrozenMlp(reader, &bundle->patient_fc)) {
-    return Status::Error("malformed patient encoder: " + path);
-  }
-  if (!ReadFrozenMlp(reader, &bundle->decoder)) {
-    return Status::Error("malformed decoder: " + path);
-  }
-  if (!ReadMatrix(reader, &bundle->final_drug_reps) ||
-      !ReadMatrix(reader, &bundle->cluster_centroids) ||
-      !ReadMatrix(reader, &bundle->cluster_treatment) ||
-      !ReadSignedGraph(reader, &bundle->ddi) ||
-      !ReadStringVector(reader, &bundle->drug_names)) {
-    return Status::Error("malformed bundle payload: " + path);
-  }
-  bundle->mlp_decoder = reader.ReadU8() != 0;
-  bundle->use_treatment_feature = reader.ReadU8() != 0;
-  bundle->hidden_dim = reader.ReadI32();
-  bundle->ms_alpha = reader.ReadF64();
-  bundle->ms_explainer = version >= 2 ? reader.ReadU8() : 0;
-  bool has_quantized = false;
-  if (version >= 3 && reader.ok()) has_quantized = reader.ReadU8() != 0;
-  if (has_quantized &&
-      (!ReadQuantizedMlp(reader, &bundle->patient_fc.quantized) ||
-       !ReadQuantizedMlp(reader, &bundle->decoder.quantized))) {
-    return Status::Error("malformed quantized section: " + path);
-  }
-  if (!reader.ok() || reader.remaining() != 0) {
-    return Status::Error("malformed bundle payload: " + path);
-  }
-  if (Status status = ValidateLoadedBundle(*bundle, path, has_quantized);
-      !status.ok) {
-    return status;
-  }
-  bundle->EnsureQuantized();
-  return Status::Ok();
-}
-
-// First 4 bytes of the file as a little-endian u32; 0 (matching no
-// format) when the file is missing or shorter — the v3 loader then
-// reports its canonical error for those cases, keeping failure messages
-// stable across the dispatch.
-uint32_t PeekFileMagic(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  unsigned char bytes[4];
-  const size_t got = std::fread(bytes, 1, sizeof bytes, f);
-  std::fclose(f);
-  if (got != sizeof bytes) return 0;
-  return static_cast<uint32_t>(bytes[0]) | (static_cast<uint32_t>(bytes[1]) << 8) |
-         (static_cast<uint32_t>(bytes[2]) << 16) |
-         (static_cast<uint32_t>(bytes[3]) << 24);
-}
-
-}  // namespace
-
 Status ValidateLoadedBundle(const InferenceBundle& bundle,
                             const std::string& path, bool has_quantized) {
   if (bundle.ms_explainer < 0 || bundle.ms_explainer > 1) {
@@ -399,29 +256,6 @@ Status ValidateLoadedBundle(const InferenceBundle& bundle,
                         !quantized_matches(bundle.decoder))) {
     return Status::Error("quantized section disagrees with float layers: " + path);
   }
-  return Status::Ok();
-}
-
-Status LoadInferenceBundle(const std::string& path, InferenceBundle* bundle) {
-  const auto start = std::chrono::steady_clock::now();
-  // A reused destination (e.g. /admin/reload) must not keep a previous
-  // model's state — stale views or a stale mapping would be worse than
-  // stale floats. Only the runtime quantization override survives.
-  InferenceBundle fresh;
-  fresh.quantization = bundle->quantization;
-  *bundle = std::move(fresh);
-
-  const bool is_v4 = PeekFileMagic(path) == kBundleV4Magic;
-  if (Status status = is_v4 ? LoadInferenceBundleV4(path, bundle)
-                            : LoadInferenceBundleV3(path, bundle);
-      !status.ok) {
-    return status;
-  }
-  bundle->format_version = is_v4 ? 4 : 3;
-  bundle->load_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                start)
-          .count();
   return Status::Ok();
 }
 

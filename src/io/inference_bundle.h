@@ -58,10 +58,10 @@ inline constexpr int kQuantizeAuto = -1;
 /// representations (DDI embeddings already folded in), the treatment
 /// cluster tables, and the DDI graph for Medical Support explanations.
 ///
-/// The bundle round-trips through a single framed file, so a model trained
-/// once on the full cohort can be shipped to a clinic host and queried
-/// there (`PredictScores` / `Suggest`) bit-identically to the in-process
-/// system it was extracted from.
+/// The bundle round-trips through a single flat v4 file, so a model
+/// trained once on the full cohort can be shipped to a clinic host and
+/// queried there (`PredictScores` / `Suggest`) bit-identically to the
+/// in-process system it was extracted from.
 struct InferenceBundle {
   std::string display_name;
   FrozenMlp patient_fc;
@@ -93,8 +93,9 @@ struct InferenceBundle {
   /// ModelSnapshot holding it) keeps the pages alive; the file is
   /// unmapped when the last snapshot referencing it drains.
   std::shared_ptr<MmapFile> mapping;
-  /// File format the bundle was loaded from (3 = framed heap bundle,
-  /// 4 = flat mmap bundle); 0 for bundles assembled in process.
+  /// 4 for a bundle LoadInferenceBundle mapped from a v4 file; 0 for
+  /// bundles assembled in process (including ones read from a legacy v3
+  /// file by bundle_convert).
   uint32_t format_version = 0;
   /// Wall-clock cost of the load that produced this bundle, stamped by
   /// LoadInferenceBundle and surfaced via /statsz and the bundle gauges.
@@ -136,16 +137,27 @@ struct InferenceBundle {
 InferenceBundle ExtractInferenceBundle(const core::DssddiSystem& system,
                                        const data::SuggestionDataset& dataset);
 
-Status SaveInferenceBundle(const std::string& path, const InferenceBundle& bundle);
+/// Writes `bundle` as a flat v4 file (layout in io/bundle_v4.h), the one
+/// bundle format the library writes. The interaction skeleton is derived
+/// (or reused) and stored beside the DDI edges so loads never re-sort;
+/// the int8 companions are stored in packed kernel layout when present.
+/// The write is atomic: the file is built under a temporary name in the
+/// same directory and renamed over `path`, so a server still mapping the
+/// old file keeps its bytes and a failed write leaves it untouched.
+Status SaveInferenceBundleV4(const std::string& path,
+                             const InferenceBundle& bundle);
 
-/// Loads a bundle from either format, dispatching on the file magic:
-/// v3 framed files deserialize onto the heap as always; v4 flat files
-/// (see io/bundle_v4.h) map the file and build zero-copy views. Both
-/// paths run the same semantic validation and stamp format_version /
-/// load_ms on success.
+/// Maps a v4 file and builds a zero-copy bundle: matrices, quantized
+/// weights and the skeleton become views into the mapping (retained via
+/// bundle->mapping); only the small descriptors, the metadata strings
+/// and the signed DDI edge list go to the heap. Resets `bundle` first
+/// (only its runtime quantization override survives) and stamps
+/// format_version = 4 and load_ms on success. A v3 file fails with a
+/// Status that names bundle_convert, the migration tool.
 Status LoadInferenceBundle(const std::string& path, InferenceBundle* bundle);
 
-/// Shared semantic validation run by both loaders after parsing:
+/// Shared semantic validation run after parsing, by LoadInferenceBundle
+/// and by the legacy v3 reader (io/bundle_v3.h):
 /// cross-field dimension consistency, MLP layer-shape chains, and (when
 /// a quantized companion was shipped) float/quantized agreement. Never
 /// touches tensor payload bytes, so the v4 path stays O(pages touched).

@@ -38,7 +38,7 @@ void MmapFile::Reset() noexcept {
   size_ = 0;
 }
 
-Status MmapFile::Open(const std::string& path, MmapFile* out, bool prefault) {
+Status MmapFile::Open(const std::string& path, MmapFile* out) {
   out->Reset();
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -69,22 +69,6 @@ Status MmapFile::Open(const std::string& path, MmapFile* out, bool prefault) {
   ::close(fd);
   if (mapping == MAP_FAILED) {
     return Status::Error("cannot mmap " + path + ": " + std::strerror(map_err));
-  }
-  if (prefault) {
-    // Advisory readahead, then one volatile byte per page to force the
-    // fault now (sequentially, so readahead amortizes the IO) instead
-    // of on the first request. The default path stays fully lazy: a
-    // load must cost O(touched pages), and a process mapping an
-    // already-warm file must not grow its RSS by the file size.
-    ::madvise(mapping, size, MADV_WILLNEED);
-    const long page = ::sysconf(_SC_PAGESIZE);
-    const size_t step = page > 0 ? static_cast<size_t>(page) : 4096;
-    const volatile unsigned char* bytes =
-        static_cast<const unsigned char*>(mapping);
-    unsigned char sink = 0;
-    for (size_t offset = 0; offset < size; offset += step) sink ^= bytes[offset];
-    sink ^= bytes[size - 1];
-    (void)sink;
   }
   out->data_ = static_cast<unsigned char*>(mapping);
   out->size_ = size;

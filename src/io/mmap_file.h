@@ -28,13 +28,10 @@ class MmapFile {
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
 
-  /// Maps `path` read-only. With `prefault` the pages are touched once
-  /// up front (sequential read of one byte per page) so first-request
-  /// latency never pays major faults; without it, faults are demand
-  /// driven and load is O(pages actually used). Either way the kernel
-  /// is told the access pattern via madvise(MADV_WILLNEED).
-  static Status Open(const std::string& path, MmapFile* out,
-                     bool prefault = false);
+  /// Maps `path` read-only. Faults are demand driven, so the cost of a
+  /// load is O(pages actually used) and a process mapping an
+  /// already-warm file does not grow its RSS by the file size.
+  static Status Open(const std::string& path, MmapFile* out);
 
   const unsigned char* data() const { return data_; }
   size_t size() const { return size_; }

@@ -118,12 +118,11 @@ struct ServiceStats {
   /// (patient encoder layers first, then decoder layers). Empty when
   /// serving the float path.
   std::vector<double> quant_layer_max_abs_error;
-  /// Provenance of the served bundle: "v4" (flat mmap file), "v3"
-  /// (framed heap file) or "memory" (assembled in process, never loaded
-  /// from disk).
+  /// Provenance of the served bundle: "v4" (flat mmap file) or "memory"
+  /// (assembled in process, never loaded from disk).
   std::string bundle_format;
   /// Wall-clock cost of the load that produced the served bundle, and
-  /// the bytes it holds mapped (0 on the heap paths).
+  /// the bytes it holds mapped (0 for in-process bundles).
   double bundle_load_ms = 0.0;
   uint64_t bundle_bytes_mapped = 0;
 };
@@ -142,7 +141,7 @@ struct ModelSnapshot {
         // A v4 bundle carries its interaction skeleton as a CSR view
         // into the mapping (pinned by bundle.mapping, which this
         // snapshot owns), so the explainer is built without re-sorting
-        // the DDI edges; heap bundles derive it exactly as before.
+        // the DDI edges; in-process bundles derive it here.
         ms(bundle.has_ms_skeleton
                ? core::MsModule(
                      bundle.ddi, bundle.ms_skeleton, bundle.ms_alpha,
@@ -171,13 +170,9 @@ struct ModelSnapshot {
   const char* quantization_name() const {
     return tensor::kernels::QuantModeName(quant_mode());
   }
-  /// "v4" / "v3" for disk-loaded bundles, "memory" for in-process ones.
+  /// "v4" for bundles mapped from a file, "memory" for in-process ones.
   const char* format_name() const {
-    switch (bundle.format_version) {
-      case 4: return "v4";
-      case 3: return "v3";
-      default: return "memory";
-    }
+    return bundle.format_version == 4 ? "v4" : "memory";
   }
 };
 

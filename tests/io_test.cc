@@ -7,12 +7,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/dssddi_system.h"
 #include "gtest/gtest.h"
 #include "io/binary.h"
+#include "io/bundle_v3.h"
 #include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
 #include "io/mmap_file.h"
@@ -373,7 +376,7 @@ TEST_F(InferenceBundleTest, ExtractedBundleMatchesSystemScores) {
 TEST_F(InferenceBundleTest, SaveLoadPreservesScoresBitExactly) {
   const auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
   const std::string path = TempPath("model.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, bundle).ok);
 
   io::InferenceBundle loaded;
   ASSERT_TRUE(io::LoadInferenceBundle(path, &loaded).ok);
@@ -402,14 +405,13 @@ TEST_F(InferenceBundleTest, SuggestMatchesInProcessSystem) {
 }
 
 TEST_F(InferenceBundleTest, QuantizedSectionRoundTripsBitExactly) {
-  // The int8 companions ship inside the bundle file (version 3); a
-  // loaded bundle must score the quantized path bit-identically to the
-  // bundle it was saved from — whether it uses the shipped section or
-  // (for older files) rebuilds it from the float weights.
+  // The int8 companions ship inside the bundle file; a loaded bundle
+  // must score the quantized path bit-identically to the bundle it was
+  // saved from.
   auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
   bundle.quantization = static_cast<int>(tensor::kernels::QuantMode::kInt8);
   const std::string path = TempPath("model_q.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, bundle).ok);
 
   io::InferenceBundle loaded;
   ASSERT_TRUE(io::LoadInferenceBundle(path, &loaded).ok);
@@ -419,8 +421,15 @@ TEST_F(InferenceBundleTest, QuantizedSectionRoundTripsBitExactly) {
   for (size_t i = 0; i < bundle.patient_fc.quantized.layers.size(); ++i) {
     const auto& saved = bundle.patient_fc.quantized.layers[i].weights;
     const auto& got = loaded.patient_fc.quantized.layers[i].weights;
-    EXPECT_EQ(saved.data, got.data) << "layer " << i;
-    EXPECT_EQ(saved.scales, got.scales) << "layer " << i;
+    ASSERT_EQ(saved.packed_size(), got.packed_size()) << "layer " << i;
+    EXPECT_EQ(std::memcmp(saved.packed_data(), got.packed_data(),
+                          saved.packed_size()),
+              0)
+        << "layer " << i;
+    EXPECT_EQ(std::memcmp(saved.scale_data(), got.scale_data(),
+                          static_cast<size_t>(saved.n_padded) * sizeof(float)),
+              0)
+        << "layer " << i;
   }
 
   const tensor::Matrix x =
@@ -469,12 +478,12 @@ TEST_F(InferenceBundleTest, ReloadIntoReusedBundleDropsStaleQuantizedWeights) {
 
   const std::string path_a = TempPath("reuse_a.dssb");
   const std::string path_b = TempPath("reuse_b.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path_a, bundle_a).ok);
-  ASSERT_TRUE(io::SaveInferenceBundle(path_b, bundle_b).ok);
+  ASSERT_TRUE(io::WriteBundleV3(path_a, bundle_a).ok);
+  ASSERT_TRUE(io::WriteBundleV3(path_b, bundle_b).ok);
 
   io::InferenceBundle reused;
-  ASSERT_TRUE(io::LoadInferenceBundle(path_a, &reused).ok);
-  ASSERT_TRUE(io::LoadInferenceBundle(path_b, &reused).ok);
+  ASSERT_TRUE(io::ReadBundleV3(path_a, &reused).ok);
+  ASSERT_TRUE(io::ReadBundleV3(path_b, &reused).ok);
 
   bundle_b.EnsureQuantized();
   reused.quantization = static_cast<int>(tensor::kernels::QuantMode::kInt8);
@@ -489,7 +498,7 @@ TEST_F(InferenceBundleTest, ReloadIntoReusedBundleDropsStaleQuantizedWeights) {
 TEST_F(InferenceBundleTest, EveryTruncatedPrefixOfABundleFileIsRejected) {
   const auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
   const std::string path = TempPath("truncate_sweep.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
+  ASSERT_TRUE(io::WriteBundleV3(path, bundle).ok);
   std::string raw;
   ASSERT_TRUE(io::ReadFileToString(path, &raw).ok);
 
@@ -498,7 +507,7 @@ TEST_F(InferenceBundleTest, EveryTruncatedPrefixOfABundleFileIsRejected) {
     const size_t cut = raw.size() * static_cast<size_t>(tenths) / 10;
     ASSERT_TRUE(io::WriteStringToFile(cut_path, raw.substr(0, cut)).ok);
     io::InferenceBundle loaded;
-    EXPECT_FALSE(io::LoadInferenceBundle(cut_path, &loaded).ok)
+    EXPECT_FALSE(io::ReadBundleV3(cut_path, &loaded).ok)
         << "accepted a bundle truncated to " << cut << " of " << raw.size()
         << " bytes";
   }
@@ -512,9 +521,9 @@ TEST_F(InferenceBundleTest, ShapeInconsistentBundleRejectedAtLoad) {
   bundle.cluster_centroids = tensor::Matrix(
       bundle.cluster_centroids.rows(), bundle.cluster_centroids.cols() + 1);
   const std::string path = TempPath("bad_shapes.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
+  ASSERT_TRUE(io::WriteBundleV3(path, bundle).ok);
   io::InferenceBundle loaded;
-  const io::Status status = io::LoadInferenceBundle(path, &loaded);
+  const io::Status status = io::ReadBundleV3(path, &loaded);
   EXPECT_FALSE(status.ok);
   EXPECT_NE(status.message.find("layer shapes"), std::string::npos)
       << status.message;
@@ -561,19 +570,20 @@ TEST(QuantizedMlpCodecTest, SectionLengthDisagreementRejected) {
 TEST_F(InferenceBundleTest, CorruptedBundleRejected) {
   const auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
   const std::string path = TempPath("corrupt.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
+  ASSERT_TRUE(io::WriteBundleV3(path, bundle).ok);
   std::string raw;
   ASSERT_TRUE(io::ReadFileToString(path, &raw).ok);
   raw[raw.size() / 2] ^= 0x01;
   ASSERT_TRUE(io::WriteStringToFile(path, raw).ok);
   io::InferenceBundle loaded;
-  EXPECT_FALSE(io::LoadInferenceBundle(path, &loaded).ok);
+  EXPECT_FALSE(io::ReadBundleV3(path, &loaded).ok);
 }
 
 TEST_F(InferenceBundleTest, WrongKindRejected) {
   const std::string path = TempPath("matrix_as_bundle.dss");
   ASSERT_TRUE(io::SaveMatrixFile(path, tensor::Matrix::Identity(3)).ok);
   io::InferenceBundle loaded;
+  EXPECT_FALSE(io::ReadBundleV3(path, &loaded).ok);
   EXPECT_FALSE(io::LoadInferenceBundle(path, &loaded).ok);
 }
 
@@ -619,6 +629,7 @@ TEST_P(RandomBytesTest, GarbageNeverCrashesTheLoaders) {
   data::SuggestionDataset dataset;
   EXPECT_FALSE(io::LoadDatasetFile(path, &dataset).ok);
   io::InferenceBundle bundle;
+  EXPECT_FALSE(io::ReadBundleV3(path, &bundle).ok);
   EXPECT_FALSE(io::LoadInferenceBundle(path, &bundle).ok);
 }
 
@@ -636,6 +647,16 @@ TEST(RandomBytesTest, GarbagePayloadBehindValidFrameIsRejected) {
   const io::Status status = io::LoadDatasetFile(path, &dataset);
   EXPECT_FALSE(status.ok);
   EXPECT_NE(status.message.find("malformed"), std::string::npos);
+
+  const std::string bundle_path = TempPath("framed_garbage_bundle.dssb");
+  ASSERT_TRUE(
+      io::WriteFramedFile(bundle_path, io::kFormatInferenceBundle, 3, payload)
+          .ok);
+  io::InferenceBundle bundle;
+  const io::Status bundle_status = io::ReadBundleV3(bundle_path, &bundle);
+  EXPECT_FALSE(bundle_status.ok);
+  EXPECT_NE(bundle_status.message.find("malformed"), std::string::npos)
+      << bundle_status.message;
 }
 
 TEST(FrozenMlpTest, ForwardMatchesHandComputation) {
@@ -663,15 +684,6 @@ TEST(MmapFileTest, MapsARealFileAndReadsItsBytes) {
   ASSERT_TRUE(io::MmapFile::Open(path, &mapping).ok);
   ASSERT_EQ(mapping.size(), 15u);
   EXPECT_EQ(std::memcmp(mapping.data(), "mapped contents", 15), 0);
-}
-
-TEST(MmapFileTest, PrefaultedMappingReadsTheSameBytes) {
-  const std::string path = TempPath("mmap_prefault.bin");
-  ASSERT_TRUE(io::WriteStringToFile(path, "prefault me").ok);
-  io::MmapFile mapping;
-  ASSERT_TRUE(io::MmapFile::Open(path, &mapping, /*prefault=*/true).ok);
-  ASSERT_EQ(mapping.size(), 11u);
-  EXPECT_EQ(std::memcmp(mapping.data(), "prefault me", 11), 0);
 }
 
 TEST(MmapFileTest, MissingEmptyAndDirectoryPathsFailCleanly) {
@@ -800,38 +812,65 @@ TEST_F(BundleV4Test, RoundTripIsZeroCopyAndBitExact) {
   EXPECT_TRUE(io::VerifyBundleV4Checksums(*v4_path_).ok);
 }
 
-TEST_F(BundleV4Test, V4ScoresBitIdenticalToV3AcrossQuantModes) {
-  const std::string v3_path = TempPath("model_v3_vs_v4.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_path, *bundle_).ok);
+TEST_F(BundleV4Test, V4ScoresBitIdenticalToInProcessBundleAcrossQuantModes) {
   const tensor::Matrix x =
       dataset_->patient_features.GatherRows(dataset_->split.test);
   const int patient = dataset_->split.test.front();
 
   for (const auto mode : {tensor::kernels::QuantMode::kNone,
                           tensor::kernels::QuantMode::kInt8}) {
-    io::InferenceBundle v3;
+    // The reference is the bundle extracted from the trained system,
+    // never written to disk.
+    io::InferenceBundle in_process = *bundle_;
     io::InferenceBundle v4;
-    v3.quantization = static_cast<int>(mode);
+    in_process.quantization = static_cast<int>(mode);
     v4.quantization = static_cast<int>(mode);
-    ASSERT_TRUE(io::LoadInferenceBundle(v3_path, &v3).ok);
     ASSERT_TRUE(io::LoadInferenceBundle(*v4_path_, &v4).ok);
-    EXPECT_EQ(v3.format_version, 3u);
+    EXPECT_EQ(in_process.format_version, 0u);
     EXPECT_EQ(v4.format_version, 4u);
 
-    const tensor::Matrix heap = v3.PredictScores(x);
+    const tensor::Matrix heap = in_process.PredictScores(x);
     const tensor::Matrix mapped = v4.PredictScores(x);
     EXPECT_EQ(heap.data(), mapped.data())
         << "mode " << static_cast<int>(mode);
 
-    const auto v3_suggest = v3.Suggest(
+    const auto heap_suggest = in_process.Suggest(
         dataset_->patient_features.GatherRows({patient}), 3);
     const auto v4_suggest = v4.Suggest(
         dataset_->patient_features.GatherRows({patient}), 3);
-    EXPECT_EQ(v3_suggest.drugs, v4_suggest.drugs);
-    EXPECT_EQ(v3_suggest.explanation.subgraph_drugs,
+    EXPECT_EQ(heap_suggest.drugs, v4_suggest.drugs);
+    EXPECT_EQ(heap_suggest.explanation.subgraph_drugs,
               v4_suggest.explanation.subgraph_drugs);
-    EXPECT_DOUBLE_EQ(v3_suggest.explanation.suggestion_satisfaction,
+    EXPECT_DOUBLE_EQ(heap_suggest.explanation.suggestion_satisfaction,
                      v4_suggest.explanation.suggestion_satisfaction);
+  }
+}
+
+TEST_F(BundleV4Test, V3FileConvertedToV4ScoresBitIdenticalToItsSource) {
+  // The bundle_convert path: a legacy v3 file read onto the heap,
+  // rewritten as v4 and mapped back must score exactly like the bundle
+  // the v3 file was written from.
+  const std::string v3_path = TempPath("model_v3_to_convert.dssb");
+  const std::string v4_path = TempPath("model_v3_converted.dssb");
+  ASSERT_TRUE(io::WriteBundleV3(v3_path, *bundle_).ok);
+  io::InferenceBundle from_v3;
+  ASSERT_TRUE(io::ReadBundleV3(v3_path, &from_v3).ok);
+  EXPECT_EQ(from_v3.format_version, 0u);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(v4_path, from_v3).ok);
+  EXPECT_TRUE(io::VerifyBundleV4Checksums(v4_path).ok);
+
+  const tensor::Matrix x =
+      dataset_->patient_features.GatherRows(dataset_->split.test);
+  for (const auto mode : {tensor::kernels::QuantMode::kNone,
+                          tensor::kernels::QuantMode::kInt8}) {
+    io::InferenceBundle source = *bundle_;
+    io::InferenceBundle converted;
+    source.quantization = static_cast<int>(mode);
+    converted.quantization = static_cast<int>(mode);
+    ASSERT_TRUE(io::LoadInferenceBundle(v4_path, &converted).ok);
+    EXPECT_EQ(converted.format_version, 4u);
+    EXPECT_EQ(source.PredictScores(x).data(), converted.PredictScores(x).data())
+        << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -889,23 +928,62 @@ TEST_F(BundleV4Test, QuantlessV4FileRebuildsInt8FromMappedFloats) {
   EXPECT_EQ(rebuilt.data(), from_section.data());
 }
 
-TEST_F(BundleV4Test, ReloadingV3IntoAV4BundleDropsTheMapping) {
+TEST_F(BundleV4Test, LoadingV3IntoAV4BundleFailsWithConvertHintAndNoMapping) {
   const std::string v3_path = TempPath("model_v3_after_v4.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_path, *bundle_).ok);
+  ASSERT_TRUE(io::WriteBundleV3(v3_path, *bundle_).ok);
 
   io::InferenceBundle reused;
   ASSERT_TRUE(io::LoadInferenceBundle(*v4_path_, &reused).ok);
   ASSERT_NE(reused.mapping, nullptr);
-  ASSERT_TRUE(io::LoadInferenceBundle(v3_path, &reused).ok);
-  EXPECT_EQ(reused.format_version, 3u);
+  const io::Status status = io::LoadInferenceBundle(v3_path, &reused);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("v3 bundle, convert it with bundle_convert"),
+            std::string::npos)
+      << status.message;
+  EXPECT_NE(status.message.find(v3_path), std::string::npos) << status.message;
   EXPECT_EQ(reused.mapping, nullptr);
   EXPECT_EQ(reused.bytes_mapped(), 0u);
+  EXPECT_EQ(reused.format_version, 0u);
   EXPECT_FALSE(reused.has_ms_skeleton);
-  // The heap-loaded weights must actually work once the mapping is gone.
+}
+
+TEST_F(BundleV4Test, SavingOverAMappedFileLeavesTheMappingIntact) {
+  // A server maps its bundle MAP_SHARED; an exporter that rewrote that
+  // path in place would change the pages under it (and SIGBUS it past a
+  // shorter new end of file). Saving must replace the file, not its
+  // contents. The bundles are the same size, so an in-place rewrite
+  // would show up here as changed scores rather than a crash.
+  const std::string dir = TempPath("atomic_save");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string path = dir + "/model.dssb";
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, *bundle_).ok);
+
+  io::InferenceBundle served;
+  served.quantization = static_cast<int>(tensor::kernels::QuantMode::kNone);
+  ASSERT_TRUE(io::LoadInferenceBundle(path, &served).ok);
   const tensor::Matrix x =
       dataset_->patient_features.GatherRows(dataset_->split.test);
-  EXPECT_EQ(reused.PredictScores(x).rows(),
-            static_cast<int>(dataset_->split.test.size()));
+  const tensor::Matrix before = served.PredictScores(x);
+
+  io::InferenceBundle next = *bundle_;
+  next.quantization = static_cast<int>(tensor::kernels::QuantMode::kNone);
+  for (float& v : next.final_drug_reps.data()) v = -v;
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, next).ok);
+
+  EXPECT_EQ(served.PredictScores(x).data(), before.data());
+  io::InferenceBundle fresh;
+  fresh.quantization = static_cast<int>(tensor::kernels::QuantMode::kNone);
+  ASSERT_TRUE(io::LoadInferenceBundle(path, &fresh).ok);
+  const tensor::Matrix after = fresh.PredictScores(x);
+  EXPECT_EQ(after.data(), next.PredictScores(x).data());
+  EXPECT_NE(after.data(), before.data());
+
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"model.dssb"});
 }
 
 TEST_F(BundleV4Test, EveryTruncatedPrefixOfAV4FileIsRejected) {

@@ -20,7 +20,7 @@
 
 #include "core/dssddi_system.h"
 #include "gtest/gtest.h"
-#include "io/bundle_v4.h"
+#include "io/bundle_v3.h"
 #include "io/inference_bundle.h"
 #include "net/http.h"
 #include "net/http_client.h"
@@ -740,7 +740,7 @@ TEST_F(NetEndToEndTest, OverloadShedsWith429InsteadOfHanging) {
 
 TEST_F(NetEndToEndTest, ReloadUnderLoadSwapsWithoutCorruptingResponses) {
   const std::string other_path = ::testing::TempDir() + "dssddi_net_reload.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(other_path, *other_bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(other_path, *other_bundle_).ok);
 
   serve::ServiceOptions service_options;
   service_options.num_threads = 2;
@@ -852,7 +852,7 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadSwapsWithoutCorruptingResponses) {
   first_weight = std::move(widened);
   narrow.patient_fc.BuildQuantized();
   const std::string narrow_path = ::testing::TempDir() + "dssddi_net_narrow.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(narrow_path, narrow).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(narrow_path, narrow).ok);
   net::ClientResponse conflict;
   ASSERT_TRUE(admin.Request("POST", "/admin/reload",
                             "{\"path\":\"" + narrow_path + "\"}", &conflict).ok);
@@ -969,7 +969,7 @@ TEST_F(NetEndToEndTest, BinaryRouteBitIdenticalToJsonRouteAndDirectSuggest) {
 TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   const std::string other_path =
       ::testing::TempDir() + "dssddi_net_deadline_reload.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(other_path, *other_bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(other_path, *other_bundle_).ok);
 
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;
@@ -1142,22 +1142,20 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   server.Stop();
 }
 
-TEST_F(NetEndToEndTest, V4MmapBundleServesByteIdenticalResponsesToV3) {
-  // The file format must be invisible on the wire: the same model saved
-  // as v3 (heap) and v4 (mmap) has to produce byte-identical /v1/suggest
-  // responses — JSON and binary — in both float and int8 modes.
-  const std::string v3_path = ::testing::TempDir() + "dssddi_net_fmt_v3.dssb";
+TEST_F(NetEndToEndTest, V4MmapBundleServesByteIdenticalResponsesToInProcessBundle) {
+  // The file must be invisible on the wire: the model mapped from a v4
+  // file has to produce byte-identical /v1/suggest responses — JSON and
+  // binary — to the in-process bundle extracted from the trained system,
+  // in both float and int8 modes.
   const std::string v4_path = ::testing::TempDir() + "dssddi_net_fmt_v4.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_path, *bundle_).ok);
   ASSERT_TRUE(io::SaveInferenceBundleV4(v4_path, *bundle_).ok);
 
   for (const auto mode : {tensor::kernels::QuantMode::kNone,
                           tensor::kernels::QuantMode::kInt8}) {
-    io::InferenceBundle heap;
+    io::InferenceBundle heap = *bundle_;
     io::InferenceBundle mapped;
     heap.quantization = static_cast<int>(mode);
     mapped.quantization = static_cast<int>(mode);
-    ASSERT_TRUE(io::LoadInferenceBundle(v3_path, &heap).ok);
     ASSERT_TRUE(io::LoadInferenceBundle(v4_path, &mapped).ok);
     ASSERT_EQ(mapped.format_version, 4u);
     ASSERT_GT(mapped.bytes_mapped(), 0u);
@@ -1280,9 +1278,10 @@ TEST_F(NetEndToEndTest, ReloadMissingPathReturnsStructuredErrorAndKeepsModel) {
 
 TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
   // Hot-swap sequence under sustained load: in-process float ->
-  // v4/other/float -> v4/original/int8 -> v3/original/float. Every
-  // response must carry exactly the answer of the generation it claims
-  // (zero wrong-generation responses) and nothing may 5xx.
+  // v4/other/float -> v4/original/int8 -> (a v3 file, refused) ->
+  // v4/original/float. Every response must carry exactly the answer of
+  // the generation it claims (zero wrong-generation responses) and
+  // nothing may 5xx.
   const std::string v4_other =
       ::testing::TempDir() + "dssddi_flip_v4_other.dssb";
   const std::string v4_orig =
@@ -1291,7 +1290,7 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
       ::testing::TempDir() + "dssddi_flip_v3_orig.dssb";
   ASSERT_TRUE(io::SaveInferenceBundleV4(v4_other, *other_bundle_).ok);
   ASSERT_TRUE(io::SaveInferenceBundleV4(v4_orig, *bundle_).ok);
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_orig, *bundle_).ok);
+  ASSERT_TRUE(io::WriteBundleV3(v3_orig, *bundle_).ok);
 
   const std::vector<int>& patients = dataset_->split.test;
   // Generation expectations: 1 = original float, 2 = other float,
@@ -1374,17 +1373,19 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
     });
   }
 
+  // A refused swap (status 400) must leave the generation where it was;
+  // the clients keep checking every answer against it.
   struct Swap {
     const std::string* path;
     const char* quantize;
+    int status;
     int version;
-    const char* format;
-    bool mapped;
   };
   const Swap swaps[] = {
-      {&v4_other, "none", 2, "v4", true},
-      {&v4_orig, "int8", 3, "v4", true},
-      {&v3_orig, "none", 4, "v3", false},
+      {&v4_other, "none", 200, 2},
+      {&v4_orig, "int8", 200, 3},
+      {&v3_orig, "none", 400, 3},
+      {&v4_orig, "none", 200, 4},
   };
 
   net::HttpClient admin;
@@ -1401,20 +1402,24 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
                                   "\"}",
                               &reload_response)
                     .ok);
-    ASSERT_EQ(reload_response.status, 200) << reload_response.body;
+    ASSERT_EQ(reload_response.status, swap.status) << reload_response.body;
     net::JsonValue reload_json;
     std::string error;
     ASSERT_TRUE(net::ParseJson(reload_response.body, &reload_json, &error));
     EXPECT_EQ(reload_json.Find("model_version")->AsInt(), swap.version);
-    ASSERT_NE(reload_json.Find("format"), nullptr) << reload_response.body;
-    EXPECT_EQ(reload_json.Find("format")->AsString(), swap.format);
-    ASSERT_NE(reload_json.Find("bytes_mapped"), nullptr);
-    if (swap.mapped) {
-      EXPECT_GT(reload_json.Find("bytes_mapped")->AsInt(), 0);
-      EXPECT_GE(reload_json.Find("load_ms")->AsDouble(), 0.0);
-    } else {
-      EXPECT_EQ(reload_json.Find("bytes_mapped")->AsInt(), 0);
+    EXPECT_EQ(service.model_version(), static_cast<uint64_t>(swap.version));
+    if (swap.status != 200) {
+      ASSERT_NE(reload_json.Find("detail"), nullptr) << reload_response.body;
+      EXPECT_NE(reload_json.Find("detail")->AsString().find("bundle_convert"),
+                std::string::npos)
+          << reload_response.body;
+      continue;
     }
+    ASSERT_NE(reload_json.Find("format"), nullptr) << reload_response.body;
+    EXPECT_EQ(reload_json.Find("format")->AsString(), "v4");
+    ASSERT_NE(reload_json.Find("bytes_mapped"), nullptr);
+    EXPECT_GT(reload_json.Find("bytes_mapped")->AsInt(), 0);
+    EXPECT_GE(reload_json.Find("load_ms")->AsDouble(), 0.0);
   }
 
   const int final_target = served.load() + 15;
@@ -1425,8 +1430,8 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
   for (auto& client : clients) client.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Settled state: v3 float of the original model, three reloads, and
-  // /statsz reports the installed format.
+  // Settled state: v4 float of the original model, three reloads (the
+  // refused one is not counted), and /statsz reports the installed format.
   net::ClientResponse stats_response;
   ASSERT_TRUE(admin.Request("GET", "/statsz", "", &stats_response).ok);
   ASSERT_EQ(stats_response.status, 200);
@@ -1435,7 +1440,7 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
   ASSERT_TRUE(net::ParseJson(stats_response.body, &stats_json, &error));
   const net::JsonValue* model = stats_json.Find("model");
   ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->Find("format")->AsString(), "v3");
+  EXPECT_EQ(model->Find("format")->AsString(), "v4");
   EXPECT_EQ(model->Find("reloads")->AsInt(), 3);
   EXPECT_EQ(service.Stats().reloads, 3u);
   net::HttpClient check;

@@ -819,7 +819,7 @@ TEST_F(ObsEndToEndTest, StatszAndMetricszRenderTheSameCounts) {
   const std::string reload_path = ::testing::TempDir() +
                                   "dssddi_obs_agreement_" +
                                   std::to_string(::getpid()) + ".dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(reload_path, *bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(reload_path, *bundle_).ok);
 
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;  // one worker, parked to build queues

@@ -152,7 +152,7 @@ TEST_F(QuantizeServingTest, FloatModeReportsNoQuantization) {
 
 TEST_F(QuantizeServingTest, HttpReloadFlipsFloatAndInt8Live) {
   const std::string path = ::testing::TempDir() + "/quantize_reload.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(path, *bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, *bundle_).ok);
 
   serve::ServiceOptions options;
   options.num_threads = 2;
