@@ -1,16 +1,21 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
-// paths: graph algorithms (truss decomposition, CTC query), the tensor
-// engine (dense/sparse matmul, autograd round trip), K-means, TransE and
-// one training epoch of each GNN module.
+// paths: graph algorithms (truss decomposition, CTC and Steiner queries),
+// the Medical Support explanation, the tensor engine (dense/sparse
+// matmul, autograd round trip), K-means, TransE and one training epoch
+// of each GNN module.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "algo/ctc.h"
 #include "algo/densest.h"
 #include "algo/kmeans.h"
+#include "algo/steiner.h"
 #include "algo/truss.h"
 #include "core/ddi_module.h"
 #include "core/md_module.h"
+#include "core/ms_module.h"
 #include "data/catalog.h"
 #include "data/ddi_database.h"
 #include "graph/graph.h"
@@ -128,6 +133,39 @@ BENCHMARK(BM_CtcQueryNoIndex);
 /// subgraph's adjacency rows span two 64-bit words.
 void BM_CtcQueryWide(benchmark::State& state) { CtcQueries(state, true, 16); }
 BENCHMARK(BM_CtcQueryWide);
+
+/// The Steiner step of a served 3-drug CTC query on its own: truss
+/// distance over the 86-drug skeleton, truss numbers computed once.
+void BM_SteinerQuery(benchmark::State& state) {
+  const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
+  const auto skeleton = ddi.InteractionSkeleton();
+  const std::vector<int> truss = algo::TrussDecomposition(skeleton);
+  const int max_truss = *std::max_element(truss.begin(), truss.end());
+  util::Rng rng(5);
+  for (auto _ : state) {
+    std::vector<int> query;
+    for (int q : rng.SampleWithoutReplacement(skeleton.num_vertices(), 3)) {
+      query.push_back(q);
+    }
+    std::sort(query.begin(), query.end());
+    benchmark::DoNotOptimize(algo::TrussDistanceSteinerTree(skeleton, query, truss, max_truss));
+  }
+}
+BENCHMARK(BM_SteinerQuery);
+
+/// The whole served explanation of a 3-drug suggestion: CTC, signs of
+/// its edges, the interactions within and outward, and Eq. 19.
+void BM_MsExplain(benchmark::State& state) {
+  const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
+  const core::MsModule ms(ddi);
+  util::Rng rng(5);
+  for (auto _ : state) {
+    std::vector<int> drugs;
+    for (int d : rng.SampleWithoutReplacement(ddi.num_vertices(), 3)) drugs.push_back(d);
+    benchmark::DoNotOptimize(ms.Explain(drugs));
+  }
+}
+BENCHMARK(BM_MsExplain);
 
 void BM_KMeans(benchmark::State& state) {
   util::Rng rng(6);

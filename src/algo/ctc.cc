@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <utility>
 
+#include "algo/bits.h"
 #include "algo/steiner.h"
 #include "algo/truss.h"
 #include "util/logging.h"
@@ -17,21 +17,6 @@ namespace {
 constexpr int kInfDist = std::numeric_limits<int>::max() / 2;
 
 using Bits = std::vector<uint64_t>;
-
-bool TestBit(const uint64_t* bits, int v) { return (bits[v >> 6] >> (v & 63)) & 1; }
-void SetBit(uint64_t* bits, int v) { bits[v >> 6] |= uint64_t{1} << (v & 63); }
-void ClearBit(uint64_t* bits, int v) { bits[v >> 6] &= ~(uint64_t{1} << (v & 63)); }
-
-/// Calls visit(v) for every set bit v of word(0) .. word(words - 1), in
-/// ascending order; `word` may combine several bitsets on the fly.
-template <typename Word, typename Visit>
-void ForEachBit(int words, Word&& word, Visit&& visit) {
-  for (int w = 0; w < words; ++w) {
-    for (uint64_t bits = word(w); bits != 0; bits &= bits - 1) {
-      visit(64 * w + __builtin_ctzll(bits));
-    }
-  }
-}
 
 /// The candidate subgraph as word-packed adjacency rows: bit v of row u
 /// is set iff edge {u, v} is alive. A dead vertex has an empty row and
@@ -215,13 +200,9 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
       << "edge_truss is not parallel to the graph's edges";
   const int max_truss =
       truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
-  std::vector<double> weights(g.num_edges());
-  for (int e = 0; e < g.num_edges(); ++e) {
-    weights[e] = 1.0 + static_cast<double>(max_truss - truss[e]);
-  }
 
-  // Step 2: Steiner tree over the query.
-  const SteinerTree steiner = MehlhornSteinerTree(g, unique_query, weights);
+  // Step 2: Steiner tree over the query under truss distance.
+  const SteinerTree steiner = TrussDistanceSteinerTree(g, unique_query, truss, max_truss);
   if (!steiner.connected) return result;  // found = false
 
   // Step 3: expand G'0 by adjacent edges with truss >= p'.
@@ -235,26 +216,48 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   const int expansion_limit = options.expansion_limit > 0
       ? options.expansion_limit
       : 4 * static_cast<int>(unique_query.size()) + 16;
-  // Greedy frontier of incident edges, highest truss first. Pops depend
-  // only on the frontier's contents, never on push order.
-  using Item = std::pair<int, int>;  // (truss, edge)
-  std::priority_queue<Item> frontier;
-  std::vector<char> edge_seen(g.num_edges(), 0);
+  // Greedy frontier of incident edges, highest truss first: one edge
+  // bitset per truss level p'..max_truss, and a pop takes the highest
+  // edge id of the highest non-empty level, i.e. the largest (truss,
+  // edge id). An edge whose far end is already a candidate would add
+  // nothing when popped, so it is never pushed, and no edge is pushed
+  // twice.
+  const int edge_words = (g.num_edges() + 63) / 64;
+  Bits frontier(static_cast<size_t>(max_truss - p_prime + 1) * edge_words, 0);
+  auto level = [&](int t) {
+    return frontier.data() + static_cast<size_t>(t - p_prime) * edge_words;
+  };
+  int top = p_prime - 1;  // no level above `top` holds an edge
   auto add_vertex = [&](int v) {
     if (local_id[v] >= 0) return;
     local_id[v] = 0;
     candidate.push_back(v);
-    for (int e : g.IncidentEdges(v)) {
-      if (!edge_seen[e] && truss[e] >= p_prime) {
-        edge_seen[e] = 1;
-        frontier.emplace(truss[e], e);
+    const auto nbrs = g.Neighbors(v);
+    const auto eids = g.IncidentEdges(v);
+    for (int i = 0; i < nbrs.size(); ++i) {
+      const int e = eids.begin()[i];
+      if (local_id[nbrs.begin()[i]] < 0 && truss[e] >= p_prime) {
+        SetBit(level(truss[e]), e);
+        top = std::max(top, truss[e]);
       }
     }
   };
+  // Pops the largest (truss, edge id) into `e`; false when empty.
+  auto pop = [&](int& e) {
+    for (; top >= p_prime; --top) {
+      uint64_t* bits = level(top);
+      for (int w = edge_words - 1; w >= 0; --w) {
+        if (bits[w] == 0) continue;
+        e = 64 * w + 63 - __builtin_clzll(bits[w]);
+        ClearBit(bits, e);
+        return true;
+      }
+    }
+    return false;
+  };
   for (int v : steiner.vertices) add_vertex(v);
-  while (static_cast<int>(candidate.size()) < expansion_limit && !frontier.empty()) {
-    auto [t, e] = frontier.top();
-    frontier.pop();
+  int e = -1;
+  while (static_cast<int>(candidate.size()) < expansion_limit && pop(e)) {
     auto [u, v] = g.Edge(e);
     add_vertex(u);
     add_vertex(v);

@@ -43,11 +43,16 @@ struct CtcOptions {
 /// id, each row ceil(n / 64) uint64_t words, so n^2 / 8 bytes per copy
 /// (a few are live: the working rows, the best iterate, one truss level).
 /// An edge's support is popcount(row[u] & row[v]); BFS levels are ORs of
-/// the frontier's rows. The tie-breaks that fix the answer are kept:
-/// Steiner's Dijkstra pops by (distance, vertex) and relaxes on strict
-/// <, each Voronoi-cell pair is bridged by its cheapest edge (lowest id
-/// among equals), the expansion pops the largest (truss, edge id), the
-/// shrink loop keeps the last iterate among equal query distances, and
+/// the frontier's rows. Steps (2)-(3) run on integer bucket queues:
+/// the Steiner tree's truss distance (1 + max truss - truss) is a small
+/// integer, so its Dijkstra is a Dial ring of vertex bitsets, and the
+/// expansion frontier is one edge bitset per truss level from p' up.
+/// The tie-breaks that fix the answer are kept: Steiner's Dijkstra pops
+/// by (distance, lowest vertex id) and relaxes on strict <, each
+/// Voronoi-cell pair is bridged by its cheapest edge (lowest id among
+/// equals), the expansion pops the highest edge id of the highest
+/// non-empty truss level, i.e. the largest (truss, edge id), the shrink
+/// loop keeps the last iterate among equal query distances, and
 /// edge_ids come out in the input graph's (u < v) edge order.
 ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
                                                 const std::vector<int>& query,

@@ -1,17 +1,19 @@
 #include "algo/steiner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <queue>
 #include <tuple>
+#include <utility>
 
+#include "algo/bits.h"
 #include "util/logging.h"
 
 namespace dssddi::algo {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
 
 /// Union-find for Kruskal.
 class DisjointSets {
@@ -39,46 +41,67 @@ class DisjointSets {
 };
 
 struct VoronoiResult {
-  std::vector<double> dist;
+  std::vector<int64_t> dist;
   std::vector<int> nearest_terminal;  // index into `terminals`
   std::vector<int> pred_vertex;
   std::vector<int> pred_edge;
 };
 
-VoronoiResult MultiSourceDijkstra(const graph::Graph& g,
-                                  const std::vector<int>& terminals,
-                                  const std::vector<double>& edge_weights) {
+/// Multi-source Dijkstra on a Dial bucket queue. While distance d is
+/// popped, every queued distance lies in [d, d + max_weight], so a ring
+/// of max_weight + 1 vertex bitsets, one per distance modulo the ring
+/// size, holds the queue; a relaxation moves the vertex's bit from its
+/// old slot to its new one. Weights >= 1 never touch the slot being
+/// drained, so it is taken whole and popped lowest vertex id first.
+template <typename Weight>
+VoronoiResult MultiSourceDijkstra(const graph::Graph& g, const std::vector<int>& terminals,
+                                  int max_weight, const Weight& weight) {
+  const int n = g.num_vertices();
   VoronoiResult r;
-  r.dist.assign(g.num_vertices(), kInf);
-  r.nearest_terminal.assign(g.num_vertices(), -1);
-  r.pred_vertex.assign(g.num_vertices(), -1);
-  r.pred_edge.assign(g.num_vertices(), -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+  r.dist.assign(n, kUnreached);
+  r.nearest_terminal.assign(n, -1);
+  r.pred_vertex.assign(n, -1);
+  r.pred_edge.assign(n, -1);
+  const int words = (n + 63) / 64;
+  const int64_t ring = max_weight + 1;
+  std::vector<uint64_t> buckets(static_cast<size_t>(ring) * words, 0);
+  auto bucket_at = [&](int64_t d) {
+    return buckets.data() + static_cast<size_t>(d % ring) * words;
+  };
+  int queued = 0;
   for (size_t t = 0; t < terminals.size(); ++t) {
     const int v = terminals[t];
-    r.dist[v] = 0.0;
-    r.nearest_terminal[v] = static_cast<int>(t);
-    heap.emplace(0.0, v);
-  }
-  while (!heap.empty()) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    if (d > r.dist[v]) continue;
-    const auto nbrs = g.Neighbors(v);
-    const auto eids = g.IncidentEdges(v);
-    for (int i = 0; i < nbrs.size(); ++i) {
-      const int u = nbrs.begin()[i];
-      const int e = eids.begin()[i];
-      const double w = edge_weights[e];
-      if (r.dist[v] + w < r.dist[u]) {
-        r.dist[u] = r.dist[v] + w;
-        r.nearest_terminal[u] = r.nearest_terminal[v];
-        r.pred_vertex[u] = v;
-        r.pred_edge[u] = e;
-        heap.emplace(r.dist[u], u);
-      }
+    if (r.dist[v] != 0) {
+      r.dist[v] = 0;
+      SetBit(bucket_at(0), v);
+      ++queued;
     }
+    r.nearest_terminal[v] = static_cast<int>(t);
+  }
+  for (int64_t d = 0; queued > 0; ++d) {
+    uint64_t* bucket = bucket_at(d);
+    ForEachBit(words, [&](int w) { return std::exchange(bucket[w], 0); }, [&](int v) {
+      --queued;
+      const auto nbrs = g.Neighbors(v);
+      const auto eids = g.IncidentEdges(v);
+      for (int i = 0; i < nbrs.size(); ++i) {
+        const int u = nbrs.begin()[i];
+        const int e = eids.begin()[i];
+        const int64_t du = d + weight(e);
+        if (du < r.dist[u]) {
+          if (r.dist[u] == kUnreached) {
+            ++queued;
+          } else {
+            ClearBit(bucket_at(r.dist[u]), u);
+          }
+          r.dist[u] = du;
+          r.nearest_terminal[u] = r.nearest_terminal[v];
+          r.pred_vertex[u] = v;
+          r.pred_edge[u] = e;
+          SetBit(bucket_at(du), u);
+        }
+      }
+    });
   }
   return r;
 }
@@ -92,13 +115,11 @@ void CollectPathToCenter(const VoronoiResult& voronoi, int v, std::vector<int>* 
   }
 }
 
-}  // namespace
-
-SteinerTree MehlhornSteinerTree(const graph::Graph& g,
-                                const std::vector<int>& terminals,
-                                const std::vector<double>& edge_weights) {
-  DSSDDI_CHECK(static_cast<int>(edge_weights.size()) == g.num_edges())
-      << "edge weight size mismatch";
+/// Mehlhorn's algorithm with edge e weighing weight(e), an integer in
+/// [1, max_weight].
+template <typename Weight>
+SteinerTree SteinerTreeOf(const graph::Graph& g, const std::vector<int>& terminals,
+                          int max_weight, const Weight& weight) {
   SteinerTree result;
   if (terminals.empty()) {
     result.connected = true;
@@ -113,13 +134,13 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
     return result;
   }
 
-  const VoronoiResult voronoi = MultiSourceDijkstra(g, terminals, edge_weights);
+  const VoronoiResult voronoi = MultiSourceDijkstra(g, terminals, max_weight, weight);
 
   // Terminal distance graph: the cheapest edge between two Voronoi cells
   // (lowest edge id among equals) bridges their terminals a < b.
   // `slot` is a flat |terminals|^2 index into `bridges` by (a, b).
   struct Bridge {
-    double dist;
+    int64_t dist;
     int a;
     int b;
     int edge;
@@ -132,7 +153,7 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
     const int su = voronoi.nearest_terminal[u];
     const int sv = voronoi.nearest_terminal[v];
     if (su < 0 || sv < 0 || su == sv) continue;
-    const Bridge bridge{voronoi.dist[u] + edge_weights[e] + voronoi.dist[v],
+    const Bridge bridge{voronoi.dist[u] + weight(e) + voronoi.dist[v],
                         std::min(su, sv), std::max(su, sv), e};
     int& index = slot[static_cast<size_t>(bridge.a) * num_terminals + bridge.b];
     if (index < 0) {
@@ -167,9 +188,9 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
 
   // Final cleanup: MST of the collected subgraph, then prune non-terminal
   // leaves repeatedly.
-  std::vector<std::pair<double, int>> sub_edges;
+  std::vector<std::pair<int, int>> sub_edges;
   sub_edges.reserve(tree_edges.size());
-  for (int e : tree_edges) sub_edges.push_back({edge_weights[e], e});
+  for (int e : tree_edges) sub_edges.push_back({weight(e), e});
   std::sort(sub_edges.begin(), sub_edges.end());
   sub_edges.erase(std::unique(sub_edges.begin(), sub_edges.end()), sub_edges.end());
   DisjointSets vertex_sets(g.num_vertices());
@@ -211,7 +232,7 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
     if (!mst_alive[i]) continue;
     const int e = mst_edges[i];
     result.edge_ids.push_back(e);
-    result.total_weight += edge_weights[e];
+    result.total_weight += weight(e);
     auto [u, v] = g.Edge(e);
     result.vertices.push_back(u);
     result.vertices.push_back(v);
@@ -223,8 +244,38 @@ SteinerTree MehlhornSteinerTree(const graph::Graph& g,
   return result;
 }
 
+}  // namespace
+
+SteinerTree MehlhornSteinerTree(const graph::Graph& g,
+                                const std::vector<int>& terminals,
+                                const std::vector<int>& edge_weights) {
+  DSSDDI_CHECK(static_cast<int>(edge_weights.size()) == g.num_edges())
+      << "edge weight size mismatch";
+  int max_weight = 1;
+  for (int w : edge_weights) {
+    DSSDDI_CHECK(w >= 1) << "edge weights must be >= 1";
+    max_weight = std::max(max_weight, w);
+  }
+  return SteinerTreeOf(g, terminals, max_weight, [&](int e) { return edge_weights[e]; });
+}
+
 SteinerTree MehlhornSteinerTree(const graph::Graph& g, const std::vector<int>& terminals) {
-  return MehlhornSteinerTree(g, terminals, std::vector<double>(g.num_edges(), 1.0));
+  return SteinerTreeOf(g, terminals, 1, [](int) { return 1; });
+}
+
+SteinerTree TrussDistanceSteinerTree(const graph::Graph& g,
+                                     const std::vector<int>& terminals,
+                                     const std::vector<int>& edge_truss,
+                                     int max_truss) {
+  DSSDDI_CHECK(static_cast<int>(edge_truss.size()) == g.num_edges())
+      << "edge_truss is not parallel to the graph's edges";
+  int min_truss = max_truss;
+  for (int t : edge_truss) {
+    DSSDDI_CHECK(t <= max_truss) << "edge truss above max_truss";
+    min_truss = std::min(min_truss, t);
+  }
+  return SteinerTreeOf(g, terminals, 1 + max_truss - min_truss,
+                       [&](int e) { return 1 + max_truss - edge_truss[e]; });
 }
 
 }  // namespace dssddi::algo

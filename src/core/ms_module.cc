@@ -35,6 +35,18 @@ MsModule::MsModule(const graph::SignedGraph& ddi, graph::Graph skeleton,
   if (explainer_ == ExplainerKind::kClosestTrussCommunity) {
     skeleton_truss_ = algo::TrussDecomposition(skeleton_);
   }
+  // One pass over the DDI edges. A pair listed more than once keeps its
+  // smallest sign, as SignedGraph::SignOf does.
+  skeleton_sign_.assign(skeleton_.num_edges(), graph::EdgeSign::kSynergistic);
+  for (const graph::SignedEdge& edge : ddi.edges()) {
+    const int e = skeleton_.EdgeId(edge.u, edge.v);
+    if (e >= 0) skeleton_sign_[e] = std::min(skeleton_sign_[e], edge.sign);
+  }
+}
+
+graph::EdgeSign MsModule::SignOf(int u, int v) const {
+  const int e = skeleton_.EdgeId(u, v);
+  return e < 0 ? graph::EdgeSign::kNone : skeleton_sign_[e];
 }
 
 Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
@@ -52,7 +64,7 @@ Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
     for (size_t b = a + 1; b < suggested_drugs.size(); ++b) {
       const int u = suggested_drugs[a];
       const int v = suggested_drugs[b];
-      const auto sign = ddi_.SignOf(u, v);
+      const auto sign = SignOf(u, v);
       if (sign == graph::EdgeSign::kSynergistic) {
         exp.synergies_within.push_back({u, v, sign});
       } else if (sign == graph::EdgeSign::kAntagonistic) {
@@ -73,7 +85,7 @@ Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
       exp.diameter = ctc.diameter;
       for (int e : ctc.edge_ids) {
         auto [u, v] = skeleton_.Edge(e);
-        exp.subgraph_edges.push_back({u, v, ddi_.SignOf(u, v)});
+        exp.subgraph_edges.push_back({u, v, skeleton_sign_[e]});
       }
     } else {
       exp.subgraph_drugs = suggested_drugs;
@@ -85,7 +97,7 @@ Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
     exp.density = dense.density;
     for (int e : dense.edge_ids) {
       auto [u, v] = skeleton_.Edge(e);
-      exp.subgraph_edges.push_back({u, v, ddi_.SignOf(u, v)});
+      exp.subgraph_edges.push_back({u, v, skeleton_sign_[e]});
     }
     std::vector<char> alive(skeleton_.num_vertices(), 0);
     for (int v : dense.vertices) alive[v] = 1;
@@ -103,7 +115,7 @@ Explanation MsModule::Explain(const std::vector<int>& suggested_drugs) const {
   for (int u : suggested_drugs) {
     for (int w : exp.subgraph_drugs) {
       if (is_suggested[w]) continue;
-      if (ddi_.SignOf(u, w) == graph::EdgeSign::kAntagonistic) {
+      if (SignOf(u, w) == graph::EdgeSign::kAntagonistic) {
         exp.antagonisms_outward.push_back({u, w, graph::EdgeSign::kAntagonistic});
       }
     }

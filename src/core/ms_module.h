@@ -55,8 +55,8 @@ std::string ExplainerKindName(ExplainerKind kind);
 class MsModule {
  public:
   /// `alpha` balances within-suggestion synergy against outward
-  /// antagonism in SS (Eq. 19). The CTC explainer's truss index over the
-  /// skeleton is built here, once per module.
+  /// antagonism in SS (Eq. 19). The skeleton's sign table, and the CTC
+  /// explainer's truss index over it, are built here, once per module.
   explicit MsModule(const graph::SignedGraph& ddi, double alpha = 0.5,
                     ExplainerKind explainer = ExplainerKind::kClosestTrussCommunity);
 
@@ -91,6 +91,13 @@ class MsModule {
   /// explainer only; empty otherwise) so a query never re-peels the
   /// fixed skeleton.
   std::vector<int> skeleton_truss_;
+  /// Sign of every skeleton edge, parallel to its edges: what
+  /// ddi.SignOf returns for the pair. The skeleton is exactly the pairs
+  /// whose sign is not kNone, so a pair that is not an edge has kNone.
+  std::vector<graph::EdgeSign> skeleton_sign_;
+
+  /// ddi.SignOf(u, v), read from the sign table.
+  graph::EdgeSign SignOf(int u, int v) const;
 };
 
 }  // namespace dssddi::core

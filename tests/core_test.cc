@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/backbones.h"
 #include "core/counterfactual.h"
@@ -7,6 +10,8 @@
 #include "core/dssddi_system.h"
 #include "core/md_module.h"
 #include "core/ms_module.h"
+#include "data/catalog.h"
+#include "data/ddi_database.h"
 #include "gtest/gtest.h"
 #include "test_support.h"
 
@@ -275,6 +280,78 @@ TEST(MsModuleTest, IsolatedSuggestionFallsBackGracefully) {
   const Explanation exp = ms.Explain({2, 3});  // both isolated
   EXPECT_EQ(exp.subgraph_drugs.size(), 2u);
   EXPECT_GT(exp.suggestion_satisfaction, 0.0);  // first term's +1 smoothing
+}
+
+// Explanation oracle: every sign an explanation reports, and Eq. 19,
+// recomputed from SignedGraph::SignOf alone on the catalog DDI graph.
+std::vector<std::tuple<int, int, EdgeSign>> Tuples(const std::vector<InteractionEdge>& edges) {
+  std::vector<std::tuple<int, int, EdgeSign>> tuples;
+  for (const auto& e : edges) tuples.emplace_back(e.drug_u, e.drug_v, e.sign);
+  return tuples;
+}
+
+void ExpectExplanationMatchesSignOf(const SignedGraph& ddi, const MsModule& ms,
+                                    const std::vector<int>& drugs) {
+  const Explanation exp = ms.Explain(drugs);
+  for (const auto& e : exp.subgraph_edges) {
+    EXPECT_NE(e.sign, EdgeSign::kNone);
+    EXPECT_EQ(e.sign, ddi.SignOf(e.drug_u, e.drug_v)) << e.drug_u << "-" << e.drug_v;
+  }
+  std::vector<InteractionEdge> synergies;
+  std::vector<InteractionEdge> antagonisms;
+  for (size_t a = 0; a < drugs.size(); ++a) {
+    for (size_t b = a + 1; b < drugs.size(); ++b) {
+      const EdgeSign sign = ddi.SignOf(drugs[a], drugs[b]);
+      if (sign == EdgeSign::kSynergistic) synergies.push_back({drugs[a], drugs[b], sign});
+      if (sign == EdgeSign::kAntagonistic) antagonisms.push_back({drugs[a], drugs[b], sign});
+    }
+  }
+  std::vector<InteractionEdge> outward;
+  for (int u : drugs) {
+    for (int w : exp.subgraph_drugs) {
+      if (std::find(drugs.begin(), drugs.end(), w) == drugs.end() &&
+          ddi.SignOf(u, w) == EdgeSign::kAntagonistic) {
+        outward.push_back({u, w, EdgeSign::kAntagonistic});
+      }
+    }
+  }
+  EXPECT_EQ(Tuples(exp.synergies_within), Tuples(synergies));
+  EXPECT_EQ(Tuples(exp.antagonisms_within), Tuples(antagonisms));
+  EXPECT_EQ(Tuples(exp.antagonisms_outward), Tuples(outward));
+
+  const double alpha = ms.alpha();
+  const double k = static_cast<double>(drugs.size());
+  const double n = static_cast<double>(exp.subgraph_drugs.size());
+  double ss = alpha * 2.0 * (synergies.size() + 1.0) /
+              ((antagonisms.size() + 1.0) * (k * (k - 1.0) + 2.0));
+  if (n > k) ss += (1.0 - alpha) * outward.size() / (k * (n - k));
+  EXPECT_DOUBLE_EQ(exp.suggestion_satisfaction, ss);
+}
+
+TEST(MsModuleTest, ExplanationSignsAndSatisfactionMatchSignOf) {
+  const SignedGraph catalog = data::GenerateDdiDatabase(data::Catalog::Instance());
+  // The same graph with as many explicit no-interaction edges as
+  // interactions, as DdiModule trains on: those pairs must read kNone.
+  SignedGraph with_zero_edges = catalog;
+  util::Rng zero_rng(11);
+  with_zero_edges.SampleNoInteractionEdges(catalog.num_edges(), zero_rng);
+  const SignedGraph* graphs[] = {&catalog, &with_zero_edges};
+  for (const SignedGraph* ddi : graphs) {
+    for (ExplainerKind kind :
+         {ExplainerKind::kClosestTrussCommunity, ExplainerKind::kDensestSubgraph}) {
+      const MsModule ms(*ddi, 0.4, kind);
+      util::Rng rng(17);
+      for (int i = 0; i < 200; ++i) {
+        std::vector<int> drugs;
+        const int size = static_cast<int>(rng.UniformInt(1, 6));
+        for (int d : rng.SampleWithoutReplacement(ddi->num_vertices(), size)) {
+          drugs.push_back(d);
+        }
+        SCOPED_TRACE(ExplainerKindName(kind) + " query " + std::to_string(i));
+        ExpectExplanationMatchesSignOf(*ddi, ms, drugs);
+      }
+    }
+  }
 }
 
 // ---------- Full system ----------
