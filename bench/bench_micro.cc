@@ -1,8 +1,8 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
 // paths: graph algorithms (truss decomposition, CTC and Steiner queries),
-// the Medical Support explanation, the tensor engine (dense/sparse
-// matmul, autograd round trip), K-means, TransE and one training epoch
-// of each GNN module.
+// the Medical Support explanation, the HTTP edge's JSON codec, the
+// tensor engine (dense/sparse matmul, autograd round trip), K-means,
+// TransE and one training epoch of each GNN module.
 
 #include <benchmark/benchmark.h>
 
@@ -17,9 +17,12 @@
 #include "core/md_module.h"
 #include "core/ms_module.h"
 #include "data/catalog.h"
+#include "data/chronic_cohort.h"
 #include "data/ddi_database.h"
 #include "graph/graph.h"
 #include "kg/transe.h"
+#include "net/json.h"
+#include "net/suggest_frontend.h"
 #include "tensor/loss.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
@@ -166,6 +169,62 @@ void BM_MsExplain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MsExplain);
+
+/// Parsing a doctor-facing /v1/suggest body: 71 cohort features printed
+/// %.9g (as clients send them), k and explain; cycles over 64 patients.
+void BM_JsonParseSuggestBody(benchmark::State& state) {
+  const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
+  data::ChronicCohortOptions cohort;
+  cohort.num_males = 40;
+  cohort.num_females = 24;
+  const data::ChronicCohortGenerator generator(data::Catalog::Instance(), ddi, cohort);
+  const tensor::Matrix features = data::ChronicCohortGenerator::FeatureMatrix(generator.Generate());
+  std::vector<std::string> bodies;
+  size_t bytes = 0;
+  for (int patient = 0; patient < features.rows(); ++patient) {
+    net::JsonWriter body;
+    body.BeginObject().Key("patient_id").Int(patient).Key("features").BeginArray();
+    for (int j = 0; j < features.cols(); ++j) body.Float(features.At(patient, j));
+    body.EndArray().Key("k").Int(3).Key("explain").Bool(true).EndObject();
+    bytes += body.str().size();
+    bodies.push_back(body.str());
+  }
+  size_t next = 0;
+  net::JsonValue document;
+  std::string error;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::ParseJson(bodies[next], &document, &error));
+    next = (next + 1) % bodies.size();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes / bodies.size()));
+}
+BENCHMARK(BM_JsonParseSuggestBody);
+
+/// Writing an explained 3-drug answer: drugs, binary32 scores, catalog
+/// names and the MS module's explanation of those drugs.
+void BM_SuggestionToJson(benchmark::State& state) {
+  const data::Catalog& catalog = data::Catalog::Instance();
+  const auto ddi = data::GenerateDdiDatabase(catalog);
+  const core::MsModule ms(ddi);
+  std::vector<std::string> names;
+  for (const data::DrugInfo& drug : catalog.drugs()) names.push_back(drug.name);
+  util::Rng rng(5);
+  std::vector<core::Suggestion> suggestions(64);
+  for (core::Suggestion& suggestion : suggestions) {
+    for (int d : rng.SampleWithoutReplacement(ddi.num_vertices(), 3)) {
+      suggestion.drugs.push_back(d);
+      suggestion.scores.push_back(static_cast<float>(rng.NextDouble()));
+    }
+    suggestion.explanation = ms.Explain(suggestion.drugs);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net::SuggestionToJson(suggestions[next], names, 1, 12345, true, 987654321));
+    next = (next + 1) % suggestions.size();
+  }
+}
+BENCHMARK(BM_SuggestionToJson);
 
 void BM_KMeans(benchmark::State& state) {
   util::Rng rng(6);

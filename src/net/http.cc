@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstring>
 
 namespace dssddi::net {
@@ -14,6 +15,18 @@ bool AsciiEqualsIgnoreCase(const std::string& a, const std::string& b) {
       return false;
     }
   }
+  return true;
+}
+
+bool ParseUintHeader(const std::string& value, uint64_t* out) {
+  if (value.empty()) return false;
+  uint64_t parsed = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return false;
+    if (parsed > (UINT64_MAX - (c - '0')) / 10) return false;  // overflow
+    parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *out = parsed;
   return true;
 }
 

@@ -2,6 +2,7 @@
 #define DSSDDI_NET_HTTP_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +41,12 @@ const char* StatusReason(int status);
 /// ASCII case-insensitive equality, as header-name comparison requires.
 /// Shared by the server-side parser and the test client.
 bool AsciiEqualsIgnoreCase(const std::string& a, const std::string& b);
+
+/// Strictly numeric header value (X-Deadline-Ms, X-Trace-Id): one or more
+/// ASCII digits that fit a uint64_t, nothing else. False on anything
+/// else; a malformed value is a client bug worth a 400, not a silent
+/// default.
+bool ParseUintHeader(const std::string& value, uint64_t* out);
 
 /// Full wire bytes for `response`. `keep_alive` reflects the request's
 /// connection semantics; `response.close` can only force closing.

@@ -1,13 +1,14 @@
 #include "net/json.h"
 
-#include <cctype>
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 namespace dssddi::net {
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+const JsonValue* JsonValue::Find(std::string_view key) const {
   for (const auto& [name, value] : members_) {
     if (name == key) return &value;
   }
@@ -94,11 +95,13 @@ class JsonParser {
       ++pos_;
       return true;
     }
+    out->items_.reserve(ItemCountHint());
     for (;;) {
-      JsonValue item;
       SkipWs();
+      // Parsed in place: nothing below touches out->items_ until this
+      // element is done, so the reference stays valid.
+      JsonValue& item = out->items_.emplace_back();
       if (!ParseValue(&item, depth + 1)) return false;
-      out->items_.push_back(std::move(item));
       SkipWs();
       if (pos_ >= text_.size()) return Fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -111,6 +114,20 @@ class JsonParser {
       }
       return Fail("expected ',' or ']' in array");
     }
+  }
+
+  /// Elements of the array whose first element starts at pos_, guessed
+  /// from the commas before the next ']': exact for a flat array such as
+  /// "features", so it fills without regrowing. The look-ahead stops
+  /// after 4 KB and 256 elements, which bounds what hostile nesting can
+  /// make it scan or reserve.
+  size_t ItemCountHint() const {
+    const size_t stop = std::min(text_.size(), pos_ + 4096);
+    size_t items = 1;
+    for (size_t i = pos_; i < stop && text_[i] != ']' && items < 256; ++i) {
+      items += text_[i] == ',';
+    }
+    return items;
   }
 
   bool ParseObject(JsonValue* out, int depth) {
@@ -126,7 +143,7 @@ class JsonParser {
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Fail("expected string key in object");
       }
-      std::string key;
+      auto& [key, value] = out->members_.emplace_back();
       if (!ParseString(&key)) return false;
       SkipWs();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
@@ -134,9 +151,7 @@ class JsonParser {
       }
       ++pos_;
       SkipWs();
-      JsonValue value;
       if (!ParseValue(&value, depth + 1)) return false;
-      out->members_.emplace_back(std::move(key), std::move(value));
       SkipWs();
       if (pos_ >= text_.size()) return Fail("unterminated object");
       if (text_[pos_] == ',') {
@@ -155,19 +170,22 @@ class JsonParser {
     ++pos_;  // opening quote
     out->clear();
     while (pos_ < text_.size()) {
+      // Copy the run of plain bytes up to the next quote, escape or
+      // control byte in one append.
+      size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+             static_cast<unsigned char>(text_[run]) >= 0x20) {
+        ++run;
+      }
+      out->append(text_, pos_, run - pos_);
+      pos_ = run;
+      if (pos_ >= text_.size()) break;
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
-        continue;
-      }
+      if (c != '\\') return Fail("raw control character in string");
       if (++pos_ >= text_.size()) return Fail("dangling escape");
       switch (text_[pos_++]) {
         case '"': out->push_back('"'); break;
@@ -246,23 +264,33 @@ class JsonParser {
     }
   }
 
+  static bool IsNumberByte(char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
+  }
+
   bool ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    size_t end = start;
+    while (end < text_.size() && IsNumberByte(text_[end])) ++end;
+    if (end == start) return Fail("expected a value");
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + end;
+    double value = 0.0;
+    const std::from_chars_result parsed = std::from_chars(first, last, value);
+    if (parsed.ec != std::errc() || parsed.ptr != last) {
+      // from_chars refuses a few tokens strtod takes whole: a leading '+'
+      // and magnitudes outside double's range (1e400 -> inf, 1e-400 -> 0).
+      // strtod decides those, so every token keeps its old verdict and
+      // value; a token neither takes whole is malformed.
+      const std::string token(first, last);
+      char* token_end = nullptr;
+      value = std::strtod(token.c_str(), &token_end);
+      if (token_end == token.c_str() || *token_end != '\0') {
+        return Fail("malformed number");
+      }
     }
-    if (pos_ == start) return Fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      pos_ = start;
-      return Fail("malformed number");
-    }
+    pos_ = end;
     out->kind_ = JsonValue::Kind::kNumber;
     out->number_ = value;
     return true;
@@ -286,29 +314,64 @@ bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
 // Writer
 // ---------------------------------------------------------------------
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+namespace {
+
+/// Appends `text` with JSON string escaping, copying runs of bytes that
+/// need none in one append.
+void AppendEscaped(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      case '"': out->append("\\\"", 2); break;
+      case '\\': out->append("\\\\", 2); break;
+      case '\b': out->append("\\b", 2); break;
+      case '\f': out->append("\\f", 2); break;
+      case '\n': out->append("\\n", 2); break;
+      case '\r': out->append("\\r", 2); break;
+      case '\t': out->append("\\t", 2); break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(text.data() + run, text.size() - run);
+}
+
+template <typename Int>
+void AppendInt(Int value, std::string* out) {
+  char buffer[24];
+  const std::to_chars_result written =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, written.ptr);
+}
+
+/// What printf's %.<precision>g prints for `value` (to_chars in general
+/// format is specified as exactly that); JSON has no inf/nan, so those
+/// become null like most encoders write them.
+void AppendGeneral(double value, int precision, std::string* out) {
+  if (!std::isfinite(value)) {
+    out->append("null", 4);
+    return;
+  }
+  char buffer[32];
+  const std::to_chars_result written =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, precision);
+  out->append(buffer, written.ptr);
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  AppendEscaped(text, &out);
   return out;
 }
 
@@ -349,24 +412,27 @@ JsonWriter& JsonWriter::EndArray() {
   return *this;
 }
 
-JsonWriter& JsonWriter::Key(const std::string& name) {
+JsonWriter& JsonWriter::Key(std::string_view name) {
   if (!first_.empty()) {
     if (!first_.back()) out_.push_back(',');
     first_.back() = false;
   }
-  out_.push_back('"');
-  out_ += JsonEscape(name);
-  out_ += "\":";
+  AppendString(name);
+  out_.push_back(':');
   after_key_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::String(const std::string& value) {
+JsonWriter& JsonWriter::String(std::string_view value) {
   BeforeValue();
-  out_.push_back('"');
-  out_ += JsonEscape(value);
-  out_.push_back('"');
+  AppendString(value);
   return *this;
+}
+
+void JsonWriter::AppendString(std::string_view text) {
+  out_.push_back('"');
+  AppendEscaped(text, &out_);
+  out_.push_back('"');
 }
 
 JsonWriter& JsonWriter::Bool(bool value) {
@@ -377,38 +443,25 @@ JsonWriter& JsonWriter::Bool(bool value) {
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendInt(value, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(uint64_t value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendInt(value, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::Double(double value) {
   BeforeValue();
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  // JSON has no inf/nan; emit null like most encoders.
-  if (std::strchr(buffer, 'n') || std::strchr(buffer, 'i')) {
-    out_ += "null";
-  } else {
-    out_ += buffer;
-  }
+  AppendGeneral(value, 17, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::Float(float value) {
   BeforeValue();
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", static_cast<double>(value));
-  if (std::strchr(buffer, 'n') || std::strchr(buffer, 'i')) {
-    out_ += "null";
-  } else {
-    out_ += buffer;
-  }
+  AppendGeneral(static_cast<double>(value), 9, &out_);
   return *this;
 }
 
@@ -416,6 +469,14 @@ JsonWriter& JsonWriter::Null() {
   BeforeValue();
   out_ += "null";
   return *this;
+}
+
+std::string JsonWriter::Take() {
+  std::string out = std::move(out_);
+  out_.clear();
+  first_.clear();
+  after_key_ = false;
+  return out;
 }
 
 }  // namespace dssddi::net

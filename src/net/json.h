@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,7 +13,10 @@ namespace dssddi::net {
 /// request bodies (`/v1/suggest`, `/admin/reload`). Parsed numbers are
 /// kept as double — binary32 feature values printed with 9 significant
 /// digits round-trip exactly through this representation, which is what
-/// keeps served scores bit-identical across the wire.
+/// keeps served scores bit-identical across the wire. Numbers convert
+/// with `std::from_chars`, which rounds correctly, so every value is the
+/// one `strtod` gives; tokens it refuses (a leading '+', magnitudes
+/// outside double's range) go through `strtod` itself.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -53,7 +57,7 @@ class JsonValue {
     return members_;
   }
   /// First member named `key`, or nullptr.
-  const JsonValue* Find(const std::string& key) const;
+  const JsonValue* Find(std::string_view key) const;
 
  private:
   friend class JsonParser;
@@ -73,11 +77,13 @@ class JsonValue {
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
 
 /// `text` with JSON string escaping applied (no surrounding quotes).
-std::string JsonEscape(const std::string& text);
+std::string JsonEscape(std::string_view text);
 
 /// Append-style JSON writer with automatic comma placement. Numbers are
-/// printed with shortest-round-trip-safe precision: Float uses %.9g
-/// (exact for binary32), Double uses %.17g (exact for binary64).
+/// printed with shortest-round-trip-safe precision: Float prints what
+/// %.9g prints (exact for binary32), Double what %.17g prints (exact
+/// for binary64), both through `std::to_chars`; NaN and infinities are
+/// written as null.
 /// Usage:
 ///   JsonWriter w;
 ///   w.BeginObject().Key("drugs").BeginArray().Int(3).Int(7).EndArray()
@@ -89,8 +95,8 @@ class JsonWriter {
   JsonWriter& EndObject();
   JsonWriter& BeginArray();
   JsonWriter& EndArray();
-  JsonWriter& Key(const std::string& name);
-  JsonWriter& String(const std::string& value);
+  JsonWriter& Key(std::string_view name);
+  JsonWriter& String(std::string_view value);
   JsonWriter& Bool(bool value);
   JsonWriter& Int(int64_t value);
   JsonWriter& UInt(uint64_t value);
@@ -98,10 +104,15 @@ class JsonWriter {
   JsonWriter& Float(float value);
   JsonWriter& Null();
 
+  /// Reserves room for a document of about `bytes` bytes.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
   const std::string& str() const { return out_; }
+  /// Moves the document out, leaving the writer empty.
+  std::string Take();
 
  private:
   void BeforeValue();
+  void AppendString(std::string_view text);
 
   std::string out_;
   /// One entry per open container: true until its first element lands.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <list>
 #include <mutex>
 #include <thread>
@@ -809,11 +810,19 @@ void RouterFrontend::HandleSuggest(const HttpRequest& request,
   }
   int deadline_ms = options_.default_deadline_ms;
   if (const std::string* header = request.FindHeader("X-Deadline-Ms")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(header->c_str(), &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
-      deadline_ms = static_cast<int>(parsed);
+    // The replica's rule: a positive integer that fits an int, else 400.
+    uint64_t parsed = 0;
+    if (!ParseUintHeader(*header, &parsed) || parsed == 0 ||
+        parsed > INT32_MAX) {
+      HttpResponse response;
+      response.status = 400;
+      response.body =
+          "{\"error\":\"X-Deadline-Ms must be a positive integer\"}";
+      suggest_4xx_->Increment();
+      writer.Send(std::move(response));
+      return;
     }
+    deadline_ms = static_cast<int>(parsed);
   }
   if (options_.max_deadline_ms > 0) {
     deadline_ms = std::min(deadline_ms, options_.max_deadline_ms);

@@ -1,5 +1,7 @@
 #include "net/suggest_frontend.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -35,7 +37,7 @@ HttpResponse JsonError(int status, const std::string& message) {
   response.status = status;
   JsonWriter writer;
   writer.BeginObject().Key("error").String(message).EndObject();
-  response.body = writer.str();
+  response.body = writer.Take();
   return response;
 }
 
@@ -80,53 +82,6 @@ void WriteEdges(JsonWriter& writer, const char* key,
     writer.BeginArray().Int(edge.drug_u).Int(edge.drug_v).EndArray();
   }
   writer.EndArray();
-}
-
-std::string SuggestionToJson(const core::Suggestion& suggestion,
-                             const serve::ModelSnapshot& snapshot,
-                             int64_t patient_id, bool explain,
-                             uint64_t trace_id) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("patient_id").Int(patient_id);
-  writer.Key("model_version").UInt(snapshot.version);
-  writer.Key("trace_id").UInt(trace_id);
-  writer.Key("drugs").BeginArray();
-  for (const int drug : suggestion.drugs) writer.Int(drug);
-  writer.EndArray();
-  // %.9g round-trips binary32 exactly: a client parsing these decimals
-  // recovers the very floats the model produced.
-  writer.Key("scores").BeginArray();
-  for (const float score : suggestion.scores) writer.Float(score);
-  writer.EndArray();
-  writer.Key("drug_names").BeginArray();
-  for (const int drug : suggestion.drugs) {
-    if (drug >= 0 &&
-        drug < static_cast<int>(snapshot.bundle.drug_names.size())) {
-      writer.String(snapshot.bundle.drug_names[drug]);
-    } else {
-      writer.Null();
-    }
-  }
-  writer.EndArray();
-  if (explain) {
-    const core::Explanation& explanation = suggestion.explanation;
-    writer.Key("explanation").BeginObject();
-    writer.Key("suggestion_satisfaction")
-        .Double(explanation.suggestion_satisfaction);
-    writer.Key("subgraph_drugs").BeginArray();
-    for (const int drug : explanation.subgraph_drugs) writer.Int(drug);
-    writer.EndArray();
-    WriteEdges(writer, "synergies_within", explanation.synergies_within);
-    WriteEdges(writer, "antagonisms_within", explanation.antagonisms_within);
-    WriteEdges(writer, "antagonisms_outward", explanation.antagonisms_outward);
-    writer.Key("trussness").Int(explanation.trussness);
-    writer.Key("diameter").Int(explanation.diameter);
-    writer.Key("density").Double(explanation.density);
-    writer.EndObject();
-  }
-  writer.EndObject();
-  return writer.str();
 }
 
 std::string SuggestionToFrame(const core::Suggestion& suggestion,
@@ -179,21 +134,63 @@ std::string QueryParam(const std::string& query, const char* key) {
   return "";
 }
 
-/// Strictly-numeric header parse for X-Deadline-Ms / X-Trace-Id; a
-/// malformed value is a client bug worth a 400, not a silent default.
-bool ParseUintHeader(const std::string& value, uint64_t* out) {
-  if (value.empty()) return false;
-  uint64_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') return false;
-    if (parsed > (UINT64_MAX - (c - '0')) / 10) return false;  // overflow
-    parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = parsed;
-  return true;
-}
-
 }  // namespace
+
+std::string SuggestionToJson(const core::Suggestion& suggestion,
+                             const std::vector<std::string>& drug_names,
+                             uint64_t model_version, int64_t patient_id,
+                             bool explain, uint64_t trace_id) {
+  const core::Explanation& explanation = suggestion.explanation;
+  JsonWriter writer;
+  // One allocation: at most 64 bytes per suggested drug (id, score,
+  // name) and 24 per explanation drug or edge, beside the fixed keys.
+  size_t estimate = 192 + 64 * suggestion.drugs.size();
+  if (explain) {
+    estimate += 256 + 24 * (explanation.subgraph_drugs.size() +
+                            explanation.synergies_within.size() +
+                            explanation.antagonisms_within.size() +
+                            explanation.antagonisms_outward.size());
+  }
+  writer.Reserve(estimate);
+  writer.BeginObject();
+  writer.Key("patient_id").Int(patient_id);
+  writer.Key("model_version").UInt(model_version);
+  writer.Key("trace_id").UInt(trace_id);
+  writer.Key("drugs").BeginArray();
+  for (const int drug : suggestion.drugs) writer.Int(drug);
+  writer.EndArray();
+  // %.9g round-trips binary32 exactly: a client parsing these decimals
+  // recovers the very floats the model produced.
+  writer.Key("scores").BeginArray();
+  for (const float score : suggestion.scores) writer.Float(score);
+  writer.EndArray();
+  writer.Key("drug_names").BeginArray();
+  for (const int drug : suggestion.drugs) {
+    if (drug >= 0 && drug < static_cast<int>(drug_names.size())) {
+      writer.String(drug_names[drug]);
+    } else {
+      writer.Null();
+    }
+  }
+  writer.EndArray();
+  if (explain) {
+    writer.Key("explanation").BeginObject();
+    writer.Key("suggestion_satisfaction")
+        .Double(explanation.suggestion_satisfaction);
+    writer.Key("subgraph_drugs").BeginArray();
+    for (const int drug : explanation.subgraph_drugs) writer.Int(drug);
+    writer.EndArray();
+    WriteEdges(writer, "synergies_within", explanation.synergies_within);
+    WriteEdges(writer, "antagonisms_within", explanation.antagonisms_within);
+    WriteEdges(writer, "antagonisms_outward", explanation.antagonisms_outward);
+    writer.Key("trussness").Int(explanation.trussness);
+    writer.Key("diameter").Int(explanation.diameter);
+    writer.Key("density").Double(explanation.density);
+    writer.EndObject();
+  }
+  writer.EndObject();
+  return writer.Take();
+}
 
 SuggestFrontend::RouteMetrics::RouteMetrics(
     std::shared_ptr<obs::Registry> owner, const char* name)
@@ -466,7 +463,14 @@ void SuggestFrontend::HandleSuggest(const HttpRequest& request,
       suggest.patient_id = patient_id->AsInt(-1);
     }
     if (const JsonValue* k = document.Find("k")) {
-      suggest.k = static_cast<int>(k->AsInt(3));
+      const double value = k->AsDouble();
+      if (!k->is_number() || !(value >= 1.0 && value <= INT32_MAX) ||
+          value != std::trunc(value)) {
+        RecordRejection(*suggest_metrics_, "'k' not an integer in range");
+        writer.Send(JsonError(400, "'k' must be an integer from 1 to 2147483647"));
+        return;
+      }
+      suggest.k = static_cast<int>(value);
     }
     if (const JsonValue* explain = document.Find("explain")) {
       suggest.explain = explain->AsBool(true);
@@ -614,8 +618,9 @@ void SuggestFrontend::HandleSuggest(const HttpRequest& request,
               response.body =
                   SuggestionToFrame(suggestion, *snapshot, trace_id, request_id);
             } else {
-              response.body = SuggestionToJson(suggestion, *snapshot,
-                                               patient_id, explain, trace_id);
+              response.body = SuggestionToJson(
+                  suggestion, snapshot->bundle.drug_names, snapshot->version,
+                  patient_id, explain, trace_id);
             }
             response.extra_headers.emplace_back("X-Trace-Id",
                                                 std::to_string(trace_id));

@@ -56,6 +56,16 @@ struct SuggestFrontendOptions {
   }
 };
 
+/// The JSON body of a served suggestion: `patient_id`, `model_version`,
+/// `trace_id`, `drugs`, `scores` (%.9g, so a client recovers the exact
+/// binary32 scores), `drug_names` (null for an id outside `drug_names`)
+/// and, when `explain`, the `explanation` object. Callers pass the names
+/// and version of the snapshot that produced `suggestion`.
+std::string SuggestionToJson(const core::Suggestion& suggestion,
+                             const std::vector<std::string>& drug_names,
+                             uint64_t model_version, int64_t patient_id,
+                             bool explain, uint64_t trace_id);
+
 /// HTTP API over a SuggestionService. Routes:
 ///
 ///   POST /v1/suggest   JSON body {"patient_id":7,"features":[...],"k":3,

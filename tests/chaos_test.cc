@@ -779,5 +779,72 @@ TEST_F(ChaosEndToEndTest, StopDrainsInFlightRequests) {
   EXPECT_EQ(torn.load(), 0);
 }
 
+/// One POST /v1/suggest over a fresh loopback connection with a raw
+/// X-Deadline-Ms value (HttpClient only sends int deadlines); returns
+/// the reply's status code, or 0 when none arrived.
+int PostWithDeadlineHeader(int port, const std::string& deadline,
+                           const std::string& body) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  struct sockaddr_in addr {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return 0;
+  }
+  const std::string request =
+      "POST /v1/suggest HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n"
+      "Content-Type: application/json\r\nX-Deadline-Ms: " + deadline +
+      "\r\nContent-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body;
+  size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  std::string reply;
+  char buffer[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  if (reply.compare(0, 9, "HTTP/1.1 ") != 0 || reply.size() < 12) return 0;
+  return std::atoi(reply.substr(9, 3).c_str());
+}
+
+// The router reads X-Deadline-Ms by the replica's rule. It used to cast
+// strtol's long to int: 2147483648 became a negative deadline (no
+// deadline, past the max_deadline_ms cap) and 4294967297 became 1 ms.
+TEST_F(ChaosEndToEndTest, RouterRejectsDeadlinesOutsideInt32With400) {
+  auto replica = StartReplica();
+  std::vector<net::ReplicaClientOptions> endpoints(1);
+  endpoints[0].port = replica->port();
+  auto registry = std::make_shared<obs::Registry>();
+  auto recorder = std::make_shared<obs::FlightRecorder>();
+  net::Router router(endpoints, net::RouterOptions{}, registry, recorder);
+  net::RouterFrontend frontend(&router);
+  net::HttpServerOptions server_options;
+  server_options.port = 0;
+  net::HttpServer server(server_options, frontend.AsHandler());
+  frontend.AttachServer(&server);
+  ASSERT_TRUE(server.Start().ok);
+
+  const int patient = dataset_->split.test.front();
+  const std::string body = SuggestBody(patient, 3);
+  for (const char* bad : {"2147483648", "4294967297", "0", "-5", "12ms", "",
+                          "99999999999999999999999"}) {
+    EXPECT_EQ(PostWithDeadlineHeader(server.port(), bad, body), 400)
+        << "X-Deadline-Ms: " << bad;
+  }
+  EXPECT_EQ(PostWithDeadlineHeader(server.port(), "2147483647", body), 200);
+  EXPECT_EQ(PostWithDeadlineHeader(server.port(), "3000", body), 200);
+
+  server.Stop();
+  replica->server->Stop();
+}
+
 }  // namespace
 }  // namespace dssddi

@@ -11,9 +11,13 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "serve/service.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "test_support.h"
+#include "util/rng.h"
 #include "worker_gate.h"
 
 namespace dssddi {
@@ -123,6 +128,246 @@ TEST(JsonTest, ReparsingIntoAReusedValueDropsTheOldDocument) {
   ASSERT_EQ(document.Members().size(), 2u);
   // A failed re-parse must not leave a half-written hybrid either.
   EXPECT_FALSE(net::ParseJson("{\"flag\":", &document, &error));
+}
+
+// Differential checks of the codec's number and string handling against
+// the libc routines its output is defined by: a parsed number is what
+// strtod makes of the whole token (same accept/reject verdict, same
+// bits), and every written value is what snprintf's %.9g / %.17g print.
+
+/// strtod's verdict on a whole token: true with `*value` set when it
+/// consumes every byte, as the parser has always required.
+bool StrtodWhole(const std::string& token, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(token.c_str(), &end);
+  return end != token.c_str() && *end == '\0';
+}
+
+/// Parses `token` both as a bare document and as the one element of an
+/// array, and checks each against strtod: same verdict and, when
+/// accepted, the same double, bit for bit.
+void ExpectParsesLikeStrtod(const std::string& token) {
+  double want = 0.0;
+  const bool accepted = StrtodWhole(token, &want);
+  for (const std::string& text : {token, "[" + token + "]"}) {
+    net::JsonValue document;
+    std::string error;
+    const bool parsed = net::ParseJson(text, &document, &error);
+    ASSERT_EQ(parsed, accepted) << "'" << text << "': " << error;
+    if (!accepted) continue;
+    const net::JsonValue& number =
+        document.is_array() ? document.Items().at(0) : document;
+    ASSERT_TRUE(number.is_number()) << text;
+    const double got = number.AsDouble();
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << "'" << text << "' parsed to " << got << ", strtod gives " << want;
+  }
+}
+
+std::string PrintG(double value, int precision) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+  return buffer;
+}
+
+TEST(JsonTest, ParsedNumbersAreBitIdenticalToStrtod) {
+  util::Rng rng(20);
+  int checked = 0;
+  for (int i = 0; i < 40000; ++i) {
+    uint32_t float_bits = static_cast<uint32_t>(rng.NextU64());
+    uint64_t double_bits = rng.NextU64();
+    // Every fourth draw is subnormal: a zero exponent field.
+    if (i % 4 == 0) {
+      float_bits &= 0x807FFFFFu;
+      double_bits &= 0x800FFFFFFFFFFFFFull;
+    }
+    float f;
+    double d;
+    std::memcpy(&f, &float_bits, sizeof(f));
+    std::memcpy(&d, &double_bits, sizeof(d));
+    if (std::isfinite(f)) {
+      const std::string token = PrintG(f, 9);
+      ExpectParsesLikeStrtod(token);
+      // The serving contract: %.9g text recovers the very binary32 value.
+      net::JsonValue number;
+      std::string error;
+      ASSERT_TRUE(net::ParseJson(token, &number, &error)) << error;
+      const float back = static_cast<float>(number.AsDouble());
+      ASSERT_EQ(std::memcmp(&back, &f, sizeof(f)), 0) << token;
+      ++checked;
+    }
+    if (std::isfinite(d)) {
+      ExpectParsesLikeStrtod(PrintG(d, 17));
+      ExpectParsesLikeStrtod(PrintG(d, 9));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 70000);
+}
+
+TEST(JsonTest, AwkwardNumberTokensKeepStrtodVerdicts) {
+  // Tokens from_chars and strtod disagree on, or that sit on a range
+  // edge, or that are malformed: each must keep strtod's verdict.
+  const std::vector<std::string> tokens = {
+      "+1", "1e400", "-1e400", "1e-400", "-0", "01", "1.", ".5", "1e",
+      "--1", "1-2", "-", "+", ".", "1e+", "1E5", "-.5e-3", "+.5", "1e+2+",
+      "4.9406564584124654e-324", "2.4703282292062328e-324",
+      "2.4703282292062327e-324", "1.7976931348623157e308",
+      "1.7976931348623158e308", "1.7976931348623159e308",
+      "2.2250738585072011e-308", "9007199254740993", "1e-45", "0.0",
+      "-0.0e0", "00000000000000000000001", "1.00000000000000011102230246251565404236316680908203125"};
+  for (const std::string& token : tokens) {
+    SCOPED_TRACE(token);
+    ExpectParsesLikeStrtod(token);
+  }
+  // The verdicts themselves, so a change to both sides shows too.
+  net::JsonValue number;
+  std::string error;
+  ASSERT_TRUE(net::ParseJson("+1", &number, &error));
+  EXPECT_EQ(number.AsDouble(), 1.0);
+  ASSERT_TRUE(net::ParseJson("1e400", &number, &error));
+  EXPECT_EQ(number.AsDouble(), std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(net::ParseJson("-0", &number, &error));
+  EXPECT_TRUE(std::signbit(number.AsDouble()));
+  for (const char* bad : {"1e", "--1", "1-2"}) {
+    EXPECT_FALSE(net::ParseJson(bad, &number, &error)) << bad;
+  }
+}
+
+// The writer as it was defined: snprintf for numbers, std::to_string
+// for integers, byte-by-byte escaping.
+std::string ReferenceGeneral(double value, int precision) {
+  const std::string text = PrintG(value, precision);
+  return text.find_first_of("ni") == std::string::npos ? text : "null";
+}
+
+std::string ReferenceEscape(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned char>(c));
+          out += buffer;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonTest, WriterBytesMatchSnprintfReference) {
+  util::Rng rng(21);
+  std::vector<float> floats = {
+      0.0f, -0.0f, 1.0f, 0.1f, 1e-8f, 3.4028235e38f, -3.4028235e38f,
+      1.17549435e-38f, 1.4e-45f, 100000000.0f, 123456789.0f,
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity()};
+  std::vector<double> doubles = {
+      0.0, -0.0, 1.0, 0.1, 1e21, 1e-7, 123456789012345678.0,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < 20000; ++i) {
+    // Raw bit patterns reach NaN payloads, infinities and subnormals.
+    const uint64_t bits = rng.NextU64();
+    float f;
+    double d;
+    const uint32_t float_bits = static_cast<uint32_t>(bits >> 32);
+    std::memcpy(&f, &float_bits, sizeof(f));
+    std::memcpy(&d, &bits, sizeof(d));
+    floats.push_back(f);
+    doubles.push_back(d);
+    doubles.push_back(rng.Normal() * std::pow(10.0, rng.Uniform(-30, 30)));
+  }
+  for (const float f : floats) {
+    net::JsonWriter writer;
+    writer.BeginArray().Float(f).EndArray();
+    ASSERT_EQ(writer.str(),
+              "[" + ReferenceGeneral(static_cast<double>(f), 9) + "]");
+  }
+  for (const double d : doubles) {
+    net::JsonWriter writer;
+    writer.BeginArray().Double(d).EndArray();
+    ASSERT_EQ(writer.str(), "[" + ReferenceGeneral(d, 17) + "]");
+  }
+
+  std::vector<int64_t> ints = {0, 1, -1, INT64_MIN, INT64_MAX, INT32_MIN,
+                               INT32_MAX};
+  for (int i = 0; i < 1000; ++i) {
+    ints.push_back(static_cast<int64_t>(rng.NextU64()) >> (i % 64));
+  }
+  for (const int64_t value : ints) {
+    net::JsonWriter writer;
+    writer.BeginArray().Int(value).UInt(static_cast<uint64_t>(value)).EndArray();
+    ASSERT_EQ(writer.str(), "[" + std::to_string(value) + "," +
+                                std::to_string(static_cast<uint64_t>(value)) +
+                                "]");
+  }
+
+  // Every byte value, in keys and in strings, plus random mixes.
+  std::vector<std::string> texts = {"", "plain", "he said \"hi\"\n",
+                                    "back\\slash", std::string(1, '\0')};
+  std::string all_bytes;
+  for (int c = 0; c < 256; ++c) all_bytes.push_back(static_cast<char>(c));
+  texts.push_back(all_bytes);
+  for (int i = 0; i < 500; ++i) {
+    std::string text;
+    const int length = static_cast<int>(rng.NextBelow(40));
+    for (int j = 0; j < length; ++j) {
+      text.push_back(static_cast<char>(rng.NextBelow(j % 3 == 0 ? 256 : 0x30)));
+    }
+    texts.push_back(text);
+  }
+  for (const std::string& text : texts) {
+    net::JsonWriter writer;
+    writer.BeginObject().Key(text).String(text).EndObject();
+    const std::string escaped = ReferenceEscape(text);
+    ASSERT_EQ(writer.str(), "{\"" + escaped + "\":\"" + escaped + "\"}");
+    ASSERT_EQ(net::JsonEscape(text), escaped);
+  }
+}
+
+TEST(JsonTest, SuggestionToJsonWritesTheServedLayout) {
+  core::Suggestion suggestion;
+  suggestion.drugs = {4, 0, 9};
+  suggestion.scores = {0.875f, 0.1f, -2.5e-7f};
+  suggestion.explanation.suggestion_satisfaction = 2.0 / 3.0;
+  suggestion.explanation.subgraph_drugs = {0, 4, 7};
+  suggestion.explanation.synergies_within = {{0, 4}};
+  suggestion.explanation.antagonisms_within = {{4, 7}};
+  suggestion.explanation.trussness = 3;
+  suggestion.explanation.diameter = 2;
+  suggestion.explanation.density = 0.5;
+  const std::vector<std::string> names = {"aspirin", "b", "c", "d",
+                                          "met\"formin"};
+  EXPECT_EQ(net::SuggestionToJson(suggestion, names, 7, 42, true, 99),
+            "{\"patient_id\":42,\"model_version\":7,\"trace_id\":99,"
+            "\"drugs\":[4,0,9],\"scores\":[0.875,0.100000001,-2.49999999e-07],"
+            "\"drug_names\":[\"met\\\"formin\",\"aspirin\",null],"
+            "\"explanation\":{\"suggestion_satisfaction\":0.66666666666666663,"
+            "\"subgraph_drugs\":[0,4,7],\"synergies_within\":[[0,4]],"
+            "\"antagonisms_within\":[[4,7]],\"antagonisms_outward\":[],"
+            "\"trussness\":3,\"diameter\":2,\"density\":0.5}}");
+  EXPECT_EQ(net::SuggestionToJson(suggestion, names, 7, -1, false, 0),
+            "{\"patient_id\":-1,\"model_version\":7,\"trace_id\":0,"
+            "\"drugs\":[4,0,9],\"scores\":[0.875,0.100000001,-2.49999999e-07],"
+            "\"drug_names\":[\"met\\\"formin\",\"aspirin\",null]}");
 }
 
 // ---------------------------------------------------------------------
@@ -615,6 +860,43 @@ TEST_F(NetEndToEndTest, HealthStatsRoutingAndErrors) {
   // Only pre-service rejections count as frontend bad requests; the
   // width mismatch above was rejected by the service itself.
   EXPECT_EQ(frontend.bad_requests(), 1u);
+  server.Stop();
+}
+
+TEST_F(NetEndToEndTest, KOutsideOneToInt32MaxGets400) {
+  serve::SuggestionService service(*bundle_, {});
+  net::SuggestFrontend frontend(&service);
+  net::HttpServerOptions server_options;
+  server_options.port = 0;
+  net::HttpServer server(server_options, frontend.AsHandler());
+  frontend.AttachServer(&server);
+  ASSERT_TRUE(server.Start().ok);
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok);
+
+  const int patient = dataset_->split.test.front();
+  const std::string body = SuggestBody(patient, 3, false);
+  const size_t k_at = body.find("\"k\":3");
+  ASSERT_NE(k_at, std::string::npos);
+  auto with_k = [&](const std::string& k) {
+    return body.substr(0, k_at) + "\"k\":" + k + body.substr(k_at + 5);
+  };
+  net::ClientResponse response;
+  // 4294967299 used to wrap to k = 3 through the int cast.
+  for (const char* bad : {"4294967299", "2147483648", "0", "-1", "2.5",
+                          "1e300", "\"3\"", "null", "true"}) {
+    ASSERT_TRUE(client.Request("POST", "/v1/suggest", with_k(bad), &response).ok);
+    EXPECT_EQ(response.status, 400) << "k = " << bad;
+    EXPECT_NE(response.body.find("'k' must be an integer"), std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(frontend.bad_requests(), 9u);
+  for (const char* good : {"3", "3.0", "3e0"}) {
+    ASSERT_TRUE(client.Request("POST", "/v1/suggest", with_k(good), &response).ok);
+    EXPECT_EQ(response.status, 200) << "k = " << good << ": " << response.body;
+    ExpectMatchesSuggestion(response.body,
+                            system_->Suggest(*dataset_, patient, 3));
+  }
   server.Stop();
 }
 
