@@ -1,6 +1,5 @@
 #include "net/json.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -95,7 +94,6 @@ class JsonParser {
       ++pos_;
       return true;
     }
-    out->items_.reserve(ItemCountHint());
     for (;;) {
       SkipWs();
       // Parsed in place: nothing below touches out->items_ until this
@@ -114,20 +112,6 @@ class JsonParser {
       }
       return Fail("expected ',' or ']' in array");
     }
-  }
-
-  /// Elements of the array whose first element starts at pos_, guessed
-  /// from the commas before the next ']': exact for a flat array such as
-  /// "features", so it fills without regrowing. The look-ahead stops
-  /// after 4 KB and 256 elements, which bounds what hostile nesting can
-  /// make it scan or reserve.
-  size_t ItemCountHint() const {
-    const size_t stop = std::min(text_.size(), pos_ + 4096);
-    size_t items = 1;
-    for (size_t i = pos_; i < stop && text_[i] != ']' && items < 256; ++i) {
-      items += text_[i] == ',';
-    }
-    return items;
   }
 
   bool ParseObject(JsonValue* out, int depth) {
@@ -471,12 +455,6 @@ JsonWriter& JsonWriter::Null() {
   return *this;
 }
 
-std::string JsonWriter::Take() {
-  std::string out = std::move(out_);
-  out_.clear();
-  first_.clear();
-  after_key_ = false;
-  return out;
-}
+std::string JsonWriter::Take() { return std::move(out_); }
 
 }  // namespace dssddi::net

@@ -104,10 +104,8 @@ class JsonWriter {
   JsonWriter& Float(float value);
   JsonWriter& Null();
 
-  /// Reserves room for a document of about `bytes` bytes.
-  void Reserve(size_t bytes) { out_.reserve(bytes); }
   const std::string& str() const { return out_; }
-  /// Moves the document out, leaving the writer empty.
+  /// Moves the document out; the writer is done after this.
   std::string Take();
 
  private:

@@ -61,6 +61,23 @@ uint64_t ParseModelVersion(const std::string& body,
   return std::strtoull(body.c_str() + pos + 16, nullptr, 10);
 }
 
+/// An error body the client can read in the codec it spoke: a wire
+/// ErrorFrame for binary requests, {"error": ...} otherwise. Returns the
+/// body's Content-Type.
+const char* EncodeRouterError(int status, const char* message,
+                              const std::string& content_type,
+                              std::string* body) {
+  if (content_type == wire::kContentType) {
+    wire::ErrorFrame frame;
+    frame.status = static_cast<uint32_t>(status);
+    frame.message = message;
+    *body = wire::EncodeError(frame);
+    return wire::kContentType;
+  }
+  *body = std::string("{\"error\":\"") + message + "\"}";
+  return "application/json";
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -537,16 +554,8 @@ io::Status Router::Exchange(const std::string& target,
                             ? "router deadline exceeded"
                             : (all_open ? "all replicas unavailable"
                                         : "no replica answered");
-  if (content_type == wire::kContentType) {
-    wire::ErrorFrame frame;
-    frame.status = static_cast<uint32_t>(out->status);
-    frame.message = message;
-    out->body = wire::EncodeError(frame);
-    out->content_type = wire::kContentType;
-  } else {
-    out->body = std::string("{\"error\":\"") + message + "\"}";
-    out->content_type = "application/json";
-  }
+  out->content_type =
+      EncodeRouterError(out->status, message, content_type, &out->body);
   requests_error_->Increment();
   return io::Status::Ok();
 }
@@ -808,16 +817,20 @@ void RouterFrontend::HandleSuggest(const HttpRequest& request,
     writer.Send(std::move(response));
     return;
   }
+  const std::string* type = request.FindHeader("Content-Type");
+  std::string content_type = type != nullptr ? *type : "application/json";
   int deadline_ms = options_.default_deadline_ms;
   if (const std::string* header = request.FindHeader("X-Deadline-Ms")) {
-    // The replica's rule: a positive integer that fits an int, else 400.
+    // The replica's rule: a positive integer that fits an int, else 400
+    // in the request's codec.
     uint64_t parsed = 0;
     if (!ParseUintHeader(*header, &parsed) || parsed == 0 ||
         parsed > INT32_MAX) {
       HttpResponse response;
       response.status = 400;
-      response.body =
-          "{\"error\":\"X-Deadline-Ms must be a positive integer\"}";
+      response.content_type =
+          EncodeRouterError(400, "X-Deadline-Ms must be a positive integer",
+                            content_type, &response.body);
       suggest_4xx_->Increment();
       writer.Send(std::move(response));
       return;
@@ -827,8 +840,6 @@ void RouterFrontend::HandleSuggest(const HttpRequest& request,
   if (options_.max_deadline_ms > 0) {
     deadline_ms = std::min(deadline_ms, options_.max_deadline_ms);
   }
-  const std::string* type = request.FindHeader("Content-Type");
-  std::string content_type = type != nullptr ? *type : "application/json";
 
   // The router exchange blocks (tries, backoff, hedges) — never on a
   // loop thread.

@@ -140,18 +140,7 @@ std::string SuggestionToJson(const core::Suggestion& suggestion,
                              const std::vector<std::string>& drug_names,
                              uint64_t model_version, int64_t patient_id,
                              bool explain, uint64_t trace_id) {
-  const core::Explanation& explanation = suggestion.explanation;
   JsonWriter writer;
-  // One allocation: at most 64 bytes per suggested drug (id, score,
-  // name) and 24 per explanation drug or edge, beside the fixed keys.
-  size_t estimate = 192 + 64 * suggestion.drugs.size();
-  if (explain) {
-    estimate += 256 + 24 * (explanation.subgraph_drugs.size() +
-                            explanation.synergies_within.size() +
-                            explanation.antagonisms_within.size() +
-                            explanation.antagonisms_outward.size());
-  }
-  writer.Reserve(estimate);
   writer.BeginObject();
   writer.Key("patient_id").Int(patient_id);
   writer.Key("model_version").UInt(model_version);
@@ -174,6 +163,7 @@ std::string SuggestionToJson(const core::Suggestion& suggestion,
   }
   writer.EndArray();
   if (explain) {
+    const core::Explanation& explanation = suggestion.explanation;
     writer.Key("explanation").BeginObject();
     writer.Key("suggestion_satisfaction")
         .Double(explanation.suggestion_satisfaction);

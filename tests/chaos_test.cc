@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -780,10 +781,13 @@ TEST_F(ChaosEndToEndTest, StopDrainsInFlightRequests) {
 }
 
 /// One POST /v1/suggest over a fresh loopback connection with a raw
-/// X-Deadline-Ms value (HttpClient only sends int deadlines); returns
-/// the reply's status code, or 0 when none arrived.
+/// X-Deadline-Ms value (HttpClient only sends int deadlines). Returns
+/// the reply's status code, or 0 when none arrived; `reply_body` gets
+/// the bytes after the reply's head.
 int PostWithDeadlineHeader(int port, const std::string& deadline,
-                           const std::string& body) {
+                           const std::string& content_type,
+                           const std::string& body,
+                           std::string* reply_body = nullptr) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
   struct sockaddr_in addr {};
@@ -796,7 +800,7 @@ int PostWithDeadlineHeader(int port, const std::string& deadline,
   }
   const std::string request =
       "POST /v1/suggest HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n"
-      "Content-Type: application/json\r\nX-Deadline-Ms: " + deadline +
+      "Content-Type: " + content_type + "\r\nX-Deadline-Ms: " + deadline +
       "\r\nContent-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body;
   size_t sent = 0;
   while (sent < request.size()) {
@@ -812,12 +816,17 @@ int PostWithDeadlineHeader(int port, const std::string& deadline,
   }
   ::close(fd);
   if (reply.compare(0, 9, "HTTP/1.1 ") != 0 || reply.size() < 12) return 0;
+  const size_t head_end = reply.find("\r\n\r\n");
+  if (reply_body != nullptr && head_end != std::string::npos) {
+    *reply_body = reply.substr(head_end + 4);
+  }
   return std::atoi(reply.substr(9, 3).c_str());
 }
 
 // The router reads X-Deadline-Ms by the replica's rule. It used to cast
 // strtol's long to int: 2147483648 became a negative deadline (no
 // deadline, past the max_deadline_ms cap) and 4294967297 became 1 ms.
+// The 400 comes in the request's codec, as a replica's does.
 TEST_F(ChaosEndToEndTest, RouterRejectsDeadlinesOutsideInt32With400) {
   auto replica = StartReplica();
   std::vector<net::ReplicaClientOptions> endpoints(1);
@@ -833,14 +842,52 @@ TEST_F(ChaosEndToEndTest, RouterRejectsDeadlinesOutsideInt32With400) {
   ASSERT_TRUE(server.Start().ok);
 
   const int patient = dataset_->split.test.front();
+  const std::string json = "application/json";
   const std::string body = SuggestBody(patient, 3);
   for (const char* bad : {"2147483648", "4294967297", "0", "-5", "12ms", "",
                           "99999999999999999999999"}) {
-    EXPECT_EQ(PostWithDeadlineHeader(server.port(), bad, body), 400)
+    std::string reply;
+    EXPECT_EQ(PostWithDeadlineHeader(server.port(), bad, json, body, &reply),
+              400)
         << "X-Deadline-Ms: " << bad;
+    net::JsonValue error;
+    std::string parse_error;
+    EXPECT_TRUE(net::ParseJson(reply, &error, &parse_error)) << reply;
+    EXPECT_NE(error.Find("error"), nullptr) << reply;
   }
-  EXPECT_EQ(PostWithDeadlineHeader(server.port(), "2147483647", body), 200);
-  EXPECT_EQ(PostWithDeadlineHeader(server.port(), "3000", body), 200);
+  EXPECT_EQ(PostWithDeadlineHeader(server.port(), "2147483647", json, body), 200);
+  EXPECT_EQ(PostWithDeadlineHeader(server.port(), "3000", json, body), 200);
+
+  wire::SuggestRequestFrame frame;
+  frame.patient_id = patient;
+  frame.k = 3;
+  const auto& features = dataset_->patient_features;
+  for (int j = 0; j < features.cols(); ++j) {
+    frame.features.push_back(features.At(patient, j));
+  }
+  const std::string binary = wire::kContentType;
+  const std::string payload = wire::EncodeSuggestRequest(frame);
+  for (const char* bad : {"2147483648", "4294967297", "0"}) {
+    std::string reply;
+    EXPECT_EQ(
+        PostWithDeadlineHeader(server.port(), bad, binary, payload, &reply),
+        400)
+        << "X-Deadline-Ms: " << bad;
+    wire::ErrorFrame error;
+    std::string decode_error;
+    ASSERT_TRUE(wire::DecodeError(reply, &error, &decode_error))
+        << "X-Deadline-Ms: " << bad << ": " << decode_error;
+    EXPECT_EQ(error.status, 400u);
+    EXPECT_EQ(error.message, "X-Deadline-Ms must be a positive integer");
+  }
+  std::string reply;
+  ASSERT_EQ(
+      PostWithDeadlineHeader(server.port(), "3000", binary, payload, &reply),
+      200);
+  wire::SuggestResponseFrame answer;
+  std::string decode_error;
+  EXPECT_TRUE(wire::DecodeSuggestResponse(reply, &answer, &decode_error))
+      << decode_error;
 
   server.Stop();
   replica->server->Stop();

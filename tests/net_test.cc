@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -128,6 +129,41 @@ TEST(JsonTest, ReparsingIntoAReusedValueDropsTheOldDocument) {
   ASSERT_EQ(document.Members().size(), 2u);
   // A failed re-parse must not leave a half-written hybrid either.
   EXPECT_FALSE(net::ParseJson("{\"flag\":", &document, &error));
+}
+
+/// Element slots the parsed tree holds (vector capacities, summed over
+/// every array and object in it).
+size_t ReservedSlots(const net::JsonValue& value) {
+  size_t slots = value.Items().capacity() + value.Members().capacity();
+  for (const net::JsonValue& item : value.Items()) slots += ReservedSlots(item);
+  for (const auto& member : value.Members()) {
+    slots += ReservedSlots(member.second);
+  }
+  return slots;
+}
+
+TEST(JsonTest, NestingCannotMakeTheParserReserveMoreThanTheTextHolds) {
+  // Every element takes at least one byte of text and a vector grown
+  // one element at a time holds under twice its elements, so a tree
+  // never needs more than 2 slots per byte. Deep nesting over a flat
+  // array is the shape that breaks a per-array look-ahead reserve: each
+  // enclosing level would count the same commas again.
+  std::string flat = "[0";
+  for (int i = 1; i < 256; ++i) flat += ",0";
+  flat += "]";
+  const int levels = 62;
+  const std::string subtree =
+      std::string(levels, '[') + flat + std::string(levels, ']');
+  std::string text = "[" + subtree;
+  for (int i = 1; i < 32; ++i) text += "," + subtree;
+  text += "]";
+
+  net::JsonValue document;
+  std::string error;
+  ASSERT_TRUE(net::ParseJson(text, &document, &error)) << error;
+  ASSERT_EQ(document.Items().size(), 32u);
+  EXPECT_LE(ReservedSlots(document), 2 * text.size())
+      << text.size() << " bytes of text";
 }
 
 // Differential checks of the codec's number and string handling against
