@@ -1,12 +1,15 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
 // paths: graph algorithms (truss decomposition, CTC and Steiner queries),
-// the Medical Support explanation, the HTTP edge's JSON codec, the
-// tensor engine (dense/sparse matmul, autograd round trip), K-means,
-// TransE and one training epoch of each GNN module.
+// the Medical Support explanation and its serving memo, the HTTP edge's
+// JSON codec, the tensor engine (dense/sparse matmul, autograd round
+// trip), K-means, TransE and one training epoch of each GNN module.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
+#include <vector>
 
 #include "algo/ctc.h"
 #include "algo/densest.h"
@@ -23,6 +26,7 @@
 #include "kg/transe.h"
 #include "net/json.h"
 #include "net/suggest_frontend.h"
+#include "serve/explanation_memo.h"
 #include "tensor/loss.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
@@ -169,6 +173,67 @@ void BM_MsExplain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MsExplain);
+
+/// `count` distinct 3-drug vectors, drawn as BM_MsExplain draws its own.
+std::vector<std::vector<int>> DistinctDrugVectors(int num_drugs, size_t count) {
+  util::Rng rng(5);
+  std::set<std::vector<int>> seen;
+  std::vector<std::vector<int>> vectors;
+  while (vectors.size() < count) {
+    std::vector<int> drugs = rng.SampleWithoutReplacement(num_drugs, 3);
+    if (seen.insert(drugs).second) vectors.push_back(std::move(drugs));
+  }
+  return vectors;
+}
+
+/// A served explanation answered by the snapshot's memo: the lookup and
+/// the decode of one stored entry, cycling over 64 stored vectors.
+void BM_ExplainMemoHit(benchmark::State& state) {
+  const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
+  const core::MsModule ms(ddi);
+  serve::ExplanationMemo memo(ms);
+  const auto vectors = DistinctDrugVectors(ddi.num_vertices(), 64);
+  bool hit = false;
+  for (const auto& drugs : vectors) memo.Explain(drugs, &hit);
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(memo.Explain(vectors[next], &hit));
+    if (!hit) {
+      state.SkipWithError("a stored vector missed");
+      break;
+    }
+    next = (next + 1) % vectors.size();
+  }
+}
+BENCHMARK(BM_ExplainMemoHit);
+
+/// A vector the memo has never seen: MsModule::Explain plus the memo's
+/// lookup, encode and insert. Each pass over kCapacity distinct vectors
+/// starts from an empty memo (untimed), so every insert stays under the
+/// bound.
+void BM_ExplainMemoMiss(benchmark::State& state) {
+  const auto ddi = data::GenerateDdiDatabase(data::Catalog::Instance());
+  const core::MsModule ms(ddi);
+  const auto vectors =
+      DistinctDrugVectors(ddi.num_vertices(), serve::ExplanationMemo::kCapacity);
+  auto memo = std::make_unique<serve::ExplanationMemo>(ms);
+  size_t next = 0;
+  bool hit = false;
+  for (auto _ : state) {
+    if (next == vectors.size()) {
+      state.PauseTiming();
+      memo = std::make_unique<serve::ExplanationMemo>(ms);
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(memo->Explain(vectors[next++], &hit));
+    if (hit) {
+      state.SkipWithError("a never-seen vector hit");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_ExplainMemoMiss);
 
 /// Parsing a doctor-facing /v1/suggest body: 71 cohort features printed
 /// %.9g (as clients send them), k and explain; cycles over 64 patients.

@@ -781,6 +781,12 @@ void SuggestFrontend::HandleStats(ResponseWriter writer) const {
       .Key("hit_rate").Double(stats.cache_hit_rate)
       .Key("coalesced").UInt(stats.coalesced)
       .EndObject();
+  // Its own key, not part of "cache": the memo answers explanations of
+  // drug vectors, the cache whole suggestions of patients.
+  json.Key("explain_memo").BeginObject()
+      .Key("hits").UInt(stats.explain_memo_hits)
+      .Key("misses").UInt(stats.explain_memo_misses)
+      .EndObject();
   // Handler-observed per-route latency (dispatch to response send) —
   // distinct from the service's scoring latency: it includes codec and
   // queueing cost, which is exactly what per-route budgets bound.

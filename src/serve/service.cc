@@ -74,6 +74,12 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
       cache_misses_(registry_->GetCounter("dssddi_cache_total",
                                           "Suggestion cache outcomes",
                                           {{"outcome", "miss"}})),
+      explain_memo_hits_(registry_->GetCounter(
+          "dssddi_explain_memo_total", "Explanation memo outcomes",
+          {{"outcome", "hit"}})),
+      explain_memo_misses_(registry_->GetCounter(
+          "dssddi_explain_memo_total", "Explanation memo outcomes",
+          {{"outcome", "miss"}})),
       reloads_(registry_->GetCounter("dssddi_model_reloads_total",
                                      "Successful hot reloads")),
       in_flight_gauge_(registry_->GetGauge(
@@ -470,7 +476,10 @@ core::Suggestion SuggestionService::BuildSuggestion(
   epilogue_span.Stop();
   if (request.explain) {
     obs::TraceSpan explain_span(request.context.trace, obs::Stage::kExplain);
-    suggestion.explanation = snapshot.ms.Explain(suggestion.drugs);
+    bool hit = false;
+    suggestion.explanation =
+        snapshot.explanation_memo.Explain(suggestion.drugs, &hit);
+    (hit ? explain_memo_hits_ : explain_memo_misses_)->Increment();
   }
   return suggestion;
 }
@@ -539,6 +548,8 @@ ServiceStats SuggestionService::Stats() const {
   stats.cache_hit_rate =
       lookups == 0 ? 0.0 : static_cast<double>(stats.cache_hits) / lookups;
   stats.coalesced = coalesced_->Value();
+  stats.explain_memo_hits = explain_memo_hits_->Value();
+  stats.explain_memo_misses = explain_memo_misses_->Value();
   stats.admitted = admission_.admitted();
   stats.shed = admission_.shed();
   stats.deadline_shed = admission_.deadline_shed();

@@ -19,6 +19,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "serve/admission_controller.h"
+#include "serve/explanation_memo.h"
 #include "serve/latency_tracker.h"
 #include "serve/request_batcher.h"
 #include "serve/request_context.h"
@@ -78,6 +79,10 @@ struct ServiceStats {
   /// Requests that attached to an identical in-flight query instead of
   /// being scored again (singleflight coalescing).
   uint64_t coalesced = 0;
+  /// Explained answers whose explanation was read from the model
+  /// snapshot's memo (hit) or computed by the explainer (miss).
+  uint64_t explain_memo_hits = 0;
+  uint64_t explain_memo_misses = 0;
   /// Admission gate outcomes (TrySubmitAsync callers only). Load sheds
   /// (`shed`, depth bounds -> 429) and deadline sheds (`deadline_shed`,
   /// remaining budget < observed p50 -> 504) are counted separately.
@@ -128,12 +133,16 @@ struct ServiceStats {
 };
 
 /// One immutable, shareable model generation: the frozen bundle plus the
-/// Medical Support explainer built over its DDI graph. In-flight batches
-/// pin the snapshot they score against via shared_ptr, so a hot reload
-/// never pulls weights out from under a request.
+/// Medical Support explainer built over its DDI graph, and the memo of
+/// that explainer's answers. In-flight batches pin the snapshot they
+/// score against via shared_ptr, so a hot reload never pulls weights out
+/// from under a request, and drops the memo with the old model.
 struct ModelSnapshot {
   io::InferenceBundle bundle;
   core::MsModule ms;  // references bundle.ddi; must stay declared after it
+  /// Memo of ms.Explain (references ms, so declared after it). Filling
+  /// it changes no answer, so a const snapshot may fill it.
+  mutable ExplanationMemo explanation_memo;
   uint64_t version = 1;
 
   ModelSnapshot(io::InferenceBundle b, uint64_t v)
@@ -149,6 +158,7 @@ struct ModelSnapshot {
                : core::MsModule(
                      bundle.ddi, bundle.ms_alpha,
                      static_cast<core::ExplainerKind>(bundle.ms_explainer))),
+        explanation_memo(ms),
         version(v) {
     // Pin the quantization mode for this model generation: an "auto"
     // bundle resolves the process-wide mode exactly once, here, so a
@@ -342,6 +352,8 @@ class SuggestionService {
   obs::Counter* batch_rows_;
   obs::Counter* cache_hits_;
   obs::Counter* cache_misses_;
+  obs::Counter* explain_memo_hits_;
+  obs::Counter* explain_memo_misses_;
   obs::Counter* reloads_;
   obs::Gauge* in_flight_gauge_;
   obs::Gauge* queue_depth_gauge_;

@@ -1,26 +1,34 @@
 // Tests for the concurrent serving subsystem: the worker pool runs every
 // task exactly once, the sharded LRU cache evicts in order and survives
 // concurrent hammering, the micro-batcher respects its batch ceiling,
-// and SuggestionService answers are bit-identical to calling
+// the explanation memo answers exactly what the explainer computes, and
+// SuggestionService answers are bit-identical to calling
 // DssddiSystem::Suggest directly for the same patients.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/dssddi_system.h"
+#include "core/ms_module.h"
+#include "data/catalog.h"
+#include "data/ddi_database.h"
 #include "gtest/gtest.h"
 #include "io/inference_bundle.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/admission_controller.h"
+#include "serve/explanation_memo.h"
 #include "serve/latency_tracker.h"
 #include "serve/request_batcher.h"
 #include "serve/service.h"
@@ -28,6 +36,7 @@
 #include "serve/thread_pool.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "test_support.h"
+#include "util/rng.h"
 #include "worker_gate.h"
 
 namespace dssddi {
@@ -545,6 +554,131 @@ TEST(RequestBatcherTest, OverdueRequestClaimsASlotDespiteUrgencyOrder) {
 }
 
 // ---------------------------------------------------------------------
+// ExplanationMemo: a stored answer is exactly the explainer's answer.
+// ---------------------------------------------------------------------
+
+/// The bits of a double: equal bits, not just ==, is the memo's promise.
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+void ExpectSameEdges(const std::vector<core::InteractionEdge>& actual,
+                     const std::vector<core::InteractionEdge>& expected,
+                     const char* field) {
+  ASSERT_EQ(actual.size(), expected.size()) << field;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].drug_u, expected[i].drug_u) << field << " " << i;
+    EXPECT_EQ(actual[i].drug_v, expected[i].drug_v) << field << " " << i;
+    EXPECT_EQ(static_cast<int>(actual[i].sign),
+              static_cast<int>(expected[i].sign))
+        << field << " " << i;
+  }
+}
+
+/// Every Explanation field, in order, doubles bit for bit.
+void ExpectSameExplanation(const core::Explanation& actual,
+                           const core::Explanation& expected) {
+  EXPECT_EQ(actual.suggested_drugs, expected.suggested_drugs);
+  EXPECT_EQ(actual.subgraph_drugs, expected.subgraph_drugs);
+  ExpectSameEdges(actual.subgraph_edges, expected.subgraph_edges,
+                  "subgraph_edges");
+  ExpectSameEdges(actual.synergies_within, expected.synergies_within,
+                  "synergies_within");
+  ExpectSameEdges(actual.antagonisms_within, expected.antagonisms_within,
+                  "antagonisms_within");
+  ExpectSameEdges(actual.antagonisms_outward, expected.antagonisms_outward,
+                  "antagonisms_outward");
+  EXPECT_EQ(Bits(actual.suggestion_satisfaction),
+            Bits(expected.suggestion_satisfaction));
+  EXPECT_EQ(actual.trussness, expected.trussness);
+  EXPECT_EQ(actual.diameter, expected.diameter);
+  EXPECT_EQ(Bits(actual.density), Bits(expected.density));
+}
+
+/// `count` distinct random 3-drug vectors over `num_drugs` drugs.
+std::vector<std::vector<int>> DistinctDrugVectors(int num_drugs, size_t count,
+                                                  uint64_t seed) {
+  util::Rng rng(seed);
+  std::set<std::vector<int>> seen;
+  std::vector<std::vector<int>> vectors;
+  while (vectors.size() < count) {
+    std::vector<int> drugs = rng.SampleWithoutReplacement(num_drugs, 3);
+    if (seen.insert(drugs).second) vectors.push_back(std::move(drugs));
+  }
+  return vectors;
+}
+
+TEST(ExplanationMemoTest, HitsMatchExplainBitForBitInEveryOrder) {
+  const graph::SignedGraph ddi =
+      data::GenerateDdiDatabase(data::Catalog::Instance());
+  for (const core::ExplainerKind kind :
+       {core::ExplainerKind::kClosestTrussCommunity,
+        core::ExplainerKind::kDensestSubgraph}) {
+    SCOPED_TRACE(core::ExplainerKindName(kind));
+    const core::MsModule ms(ddi, 0.5, kind);
+    serve::ExplanationMemo memo(ms);
+    size_t stored = 0;
+    // The sets must reach every field, or a field could go unchecked.
+    size_t with_edges = 0, with_within = 0, with_outward = 0;
+    for (std::vector<int> drugs :
+         DistinctDrugVectors(ddi.num_vertices(), 12, /*seed=*/7)) {
+      std::sort(drugs.begin(), drugs.end());
+      do {
+        SCOPED_TRACE(::testing::PrintToString(drugs));
+        const core::Explanation expected = ms.Explain(drugs);
+        with_edges += !expected.subgraph_edges.empty();
+        with_within += !expected.synergies_within.empty() ||
+                       !expected.antagonisms_within.empty();
+        with_outward += !expected.antagonisms_outward.empty();
+        bool hit = true;
+        ExpectSameExplanation(memo.Explain(drugs, &hit), expected);
+        EXPECT_FALSE(hit);
+        ExpectSameExplanation(memo.Explain(drugs, &hit), expected);
+        EXPECT_TRUE(hit);
+        // Each order is its own key: the explanation depends on it.
+        EXPECT_EQ(memo.size(), ++stored);
+      } while (std::next_permutation(drugs.begin(), drugs.end()));
+    }
+    EXPECT_GT(with_edges, 0u);
+    EXPECT_GT(with_within, 0u);
+    EXPECT_GT(with_outward, 0u);
+  }
+}
+
+TEST(ExplanationMemoTest, StopsGrowingAtCapacityAndStaysCorrect) {
+  const graph::SignedGraph ddi =
+      data::GenerateDdiDatabase(data::Catalog::Instance());
+  const core::MsModule ms(ddi);
+  serve::ExplanationMemo memo(ms);
+  constexpr size_t kCapacity = serve::ExplanationMemo::kCapacity;
+  const std::vector<std::vector<int>> vectors =
+      DistinctDrugVectors(ddi.num_vertices(), kCapacity + 1, /*seed=*/3);
+  bool hit = true;
+  for (size_t i = 0; i < kCapacity; ++i) {
+    memo.Explain(vectors[i], &hit);
+    ASSERT_FALSE(hit) << i;
+  }
+  EXPECT_EQ(memo.size(), kCapacity);
+
+  // Full: a new vector is computed, answered correctly and not stored,
+  // so it misses again.
+  const std::vector<int>& late = vectors[kCapacity];
+  for (int round = 0; round < 2; ++round) {
+    ExpectSameExplanation(memo.Explain(late, &hit), ms.Explain(late));
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(memo.size(), kCapacity);
+  }
+  // The stored vectors still hit, with their own answers.
+  for (const size_t i : {size_t{0}, kCapacity / 2, kCapacity - 1}) {
+    ExpectSameExplanation(memo.Explain(vectors[i], &hit),
+                          ms.Explain(vectors[i]));
+    EXPECT_TRUE(hit) << i;
+  }
+}
+
+// ---------------------------------------------------------------------
 // SuggestionService end-to-end: identical to the in-process system.
 // ---------------------------------------------------------------------
 
@@ -591,10 +725,7 @@ class SuggestionServiceTest : public ::testing::Test {
     for (size_t i = 0; i < expected.scores.size(); ++i) {
       EXPECT_EQ(actual.scores[i], expected.scores[i]) << "score " << i;
     }
-    EXPECT_EQ(actual.explanation.subgraph_drugs, expected.explanation.subgraph_drugs);
-    EXPECT_EQ(actual.explanation.suggested_drugs, expected.explanation.suggested_drugs);
-    EXPECT_DOUBLE_EQ(actual.explanation.suggestion_satisfaction,
-                     expected.explanation.suggestion_satisfaction);
+    ExpectSameExplanation(actual.explanation, expected.explanation);
   }
 
   static data::SuggestionDataset* dataset_;
@@ -764,11 +895,16 @@ TEST_F(SuggestionServiceTest, HonorsTheBundlesExplainerKind) {
   EXPECT_EQ(bundle.ms_explainer,
             static_cast<int>(core::ExplainerKind::kDensestSubgraph));
 
-  serve::SuggestionService service(bundle, {});
+  serve::ServiceOptions options;
+  options.cache_capacity = 0;  // the repeat is answered by the memo
+  serve::SuggestionService service(bundle, options);
   const int patient = dataset_->split.test.front();
   const core::Suggestion actual = service.Submit(RequestFor(patient, 3)).get();
   const core::Suggestion expected = densest_system.Suggest(*dataset_, patient, 3);
   ExpectSameSuggestion(actual, expected);
+  ExpectSameSuggestion(service.Submit(RequestFor(patient, 3)).get(), expected);
+  EXPECT_EQ(service.Stats().explain_memo_misses, 1u);
+  EXPECT_EQ(service.Stats().explain_memo_hits, 1u);
   // The densest explainer fills density and leaves trussness at 0.
   EXPECT_EQ(actual.explanation.trussness, expected.explanation.trussness);
   EXPECT_DOUBLE_EQ(actual.explanation.density, expected.explanation.density);
@@ -1255,6 +1391,81 @@ TEST_F(SuggestionServiceTest, ReloadRejectsEmptyOrMismatchedBundles) {
   const int patient = dataset_->split.test.front();
   ExpectSameSuggestion(service.Submit(RequestFor(patient, 3)).get(),
                        system_->Suggest(*dataset_, patient, 3));
+}
+
+
+TEST_F(SuggestionServiceTest, ReloadStartsAnEmptyExplanationMemo) {
+  serve::ServiceOptions options;
+  options.num_threads = 1;
+  options.cache_capacity = 0;  // every explained answer reaches the memo
+  serve::SuggestionService service(*bundle_, options);
+  const int patient = dataset_->split.test.front();
+  const core::Suggestion expected = system_->Suggest(*dataset_, patient, 3);
+  const auto counts = [&] {
+    const serve::ServiceStats stats = service.Stats();
+    return std::make_pair(stats.explain_memo_hits, stats.explain_memo_misses);
+  };
+
+  ExpectSameSuggestion(service.Submit(RequestFor(patient, 3)).get(), expected);
+  EXPECT_EQ(counts(), std::make_pair(uint64_t{0}, uint64_t{1}));
+  ExpectSameSuggestion(service.Submit(RequestFor(patient, 3)).get(), expected);
+  EXPECT_EQ(counts(), std::make_pair(uint64_t{1}, uint64_t{1}));
+  // An explanation-free request never consults the memo.
+  serve::Request plain = RequestFor(patient, 3);
+  plain.explain = false;
+  service.Submit(std::move(plain)).get();
+  EXPECT_EQ(counts(), std::make_pair(uint64_t{1}, uint64_t{1}));
+
+  // The same model reloaded is a new snapshot with an empty memo: the
+  // familiar vector misses once, then hits again.
+  ASSERT_TRUE(service.Reload(*bundle_).ok);
+  EXPECT_EQ(service.snapshot()->explanation_memo.size(), 0u);
+  ExpectSameSuggestion(service.Submit(RequestFor(patient, 3)).get(), expected);
+  EXPECT_EQ(counts(), std::make_pair(uint64_t{1}, uint64_t{2}));
+  ExpectSameSuggestion(service.Submit(RequestFor(patient, 3)).get(), expected);
+  EXPECT_EQ(counts(), std::make_pair(uint64_t{2}, uint64_t{2}));
+}
+
+TEST_F(SuggestionServiceTest, ConcurrentWorkersShareTheExplanationMemo) {
+  serve::ServiceOptions options;
+  options.num_threads = 4;
+  options.max_batch_size = 4;
+  options.cache_capacity = 0;  // every explained answer reaches the memo
+  serve::SuggestionService service(*bundle_, options);
+
+  const std::vector<int>& patients = dataset_->split.test;
+  std::vector<core::Suggestion> want(patients.size());
+  for (size_t i = 0; i < patients.size(); ++i) {
+    want[i] = system_->Suggest(*dataset_, patients[i], 3);
+  }
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 25;
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const size_t which = (t * 7 + i) % patients.size();
+        ExpectSameSuggestion(
+            service.Submit(RequestFor(patients[which], 3)).get(), want[which]);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+
+  std::set<std::vector<int>> vectors;
+  for (int t = 0; t < kClients; ++t) {
+    for (int i = 0; i < kPerClient; ++i) {
+      vectors.insert(want[(t * 7 + i) % patients.size()].drugs);
+    }
+  }
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.explain_memo_hits + stats.explain_memo_misses,
+            static_cast<uint64_t>(kClients * kPerClient));
+  // Two workers may both miss a vector neither has stored yet, but the
+  // memo keeps one entry per vector.
+  EXPECT_GE(stats.explain_memo_misses, vectors.size());
+  EXPECT_GT(stats.explain_memo_hits, 0u);
+  EXPECT_EQ(service.snapshot()->explanation_memo.size(), vectors.size());
 }
 
 }  // namespace
