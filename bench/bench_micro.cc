@@ -1,14 +1,18 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
 // paths: graph algorithms (truss decomposition, CTC and Steiner queries),
 // the Medical Support explanation and its serving memo, the HTTP edge's
-// JSON codec, the tensor engine (dense/sparse matmul, autograd round
-// trip), K-means, TransE and one training epoch of each GNN module.
+// JSON codec, served scoring and top-k selection, the tensor engine
+// (dense/sparse matmul, autograd round trip), K-means, TransE and one
+// training epoch of each GNN module.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/ctc.h"
@@ -19,14 +23,18 @@
 #include "core/ddi_module.h"
 #include "core/md_module.h"
 #include "core/ms_module.h"
+#include "core/suggestion_model.h"
 #include "data/catalog.h"
 #include "data/chronic_cohort.h"
 #include "data/ddi_database.h"
 #include "graph/graph.h"
+#include "io/inference_bundle.h"
 #include "kg/transe.h"
 #include "net/json.h"
 #include "net/suggest_frontend.h"
 #include "serve/explanation_memo.h"
+#include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 #include "tensor/loss.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
@@ -290,6 +298,85 @@ void BM_SuggestionToJson(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SuggestionToJson);
+
+/// A bundle with the served model's shapes (71 cohort features, 86
+/// drugs, hidden 64, MLP decoder with the treatment feature, 15
+/// treatment clusters) and random weights: scoring cost depends on the
+/// shapes, not on the trained values.
+io::InferenceBundle ServingShapedBundle() {
+  constexpr int kFeatures = 71, kDrugs = 86, kHidden = 64, kClusters = 15;
+  util::Rng rng(9);
+  const auto random = [&rng](int rows, int cols, double scale) {
+    tensor::Matrix m(rows, cols);
+    for (float& v : m.data()) v = static_cast<float>(rng.Normal() * scale);
+    return m;
+  };
+  const auto layer = [&](int in, int out, tensor::Activation activation) {
+    io::FrozenMlp::Layer l;
+    l.weight = random(in, out, 1.0 / std::sqrt(static_cast<double>(in)));
+    l.bias = random(1, out, 0.1);
+    l.activation = static_cast<int>(activation);
+    return l;
+  };
+  io::InferenceBundle bundle;
+  bundle.hidden_dim = kHidden;
+  bundle.patient_fc.layers = {layer(kFeatures, kHidden, tensor::Activation::kLeakyRelu),
+                              layer(kHidden, kHidden, tensor::Activation::kLeakyRelu)};
+  bundle.decoder.layers = {layer(kHidden + 1, kHidden, tensor::Activation::kRelu),
+                           layer(kHidden, 1, tensor::Activation::kNone)};
+  bundle.final_drug_reps = random(kDrugs, kHidden, 1.0);
+  bundle.cluster_centroids = random(kClusters, kFeatures, 1.0);
+  bundle.cluster_treatment = random(kClusters, kDrugs, 1.0);
+  bundle.EnsureQuantized();
+  return bundle;
+}
+
+/// Runs `body(state)` on a new thread. The server scores on worker
+/// threads, which glibc serves from their own malloc arena, not the main
+/// thread's heap; timing on the main thread measures the other allocator.
+template <typename Body>
+void OnWorkerThread(benchmark::State& state, Body body) {
+  std::thread worker([&] { body(state); });
+  worker.join();
+}
+
+/// One served scoring batch of `range(0)` patients in the deployed
+/// configuration (int8 kernels, blocked backend): patient_fc, the
+/// per-patient decoder tiles and the sigmoid. Items are patient rows.
+void BM_PredictScores(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  io::InferenceBundle bundle = ServingShapedBundle();
+  bundle.quantization = static_cast<int>(tensor::kernels::QuantMode::kInt8);
+  util::Rng rng(10);
+  tensor::Matrix x(batch, bundle.cluster_centroids.cols());
+  for (float& v : x.data()) v = static_cast<float>(rng.Normal());
+  const std::string saved_backend = tensor::kernels::ActiveBackendName();
+  tensor::kernels::SetBackend("blocked");
+  OnWorkerThread(state, [&](benchmark::State& st) {
+    for (auto _ : st) benchmark::DoNotOptimize(bundle.PredictScores(x));
+  });
+  tensor::kernels::SetBackend(saved_backend);
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_PredictScores)->Arg(1)->Arg(4)->Arg(32);
+
+/// The served top-10 of one 86-drug score row, cycling over 64 rows of
+/// sigmoid scores.
+void BM_TopKDrugs(benchmark::State& state) {
+  util::Rng rng(11);
+  tensor::Matrix scores(64, 86);
+  for (float& v : scores.data()) {
+    v = static_cast<float>(1.0 / (1.0 + std::exp(-2.0 * rng.Normal())));
+  }
+  OnWorkerThread(state, [&](benchmark::State& st) {
+    int row = 0;
+    for (auto _ : st) {
+      benchmark::DoNotOptimize(core::TopKDrugs(scores, row, 10));
+      row = (row + 1) % scores.rows();
+    }
+  });
+}
+BENCHMARK(BM_TopKDrugs);
 
 void BM_KMeans(benchmark::State& state) {
   util::Rng rng(6);

@@ -28,7 +28,10 @@ class SuggestionModel {
                                        const std::vector<int>& patient_indices) = 0;
 };
 
-/// Top-k drug ids for one score row (descending score, stable ties).
+/// Top-k drug ids for one score row: score descending, ties (including
+/// 0 against -0) by drug id ascending, the order a stable sort by
+/// descending score gives. NaN scores rank after every number, by id.
+/// k is clamped to [0, cols]. Selects without sorting the whole row.
 std::vector<int> TopKDrugs(const tensor::Matrix& scores, int row, int k);
 
 }  // namespace dssddi::core

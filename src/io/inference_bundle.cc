@@ -1,5 +1,6 @@
 #include "io/inference_bundle.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -27,21 +28,53 @@ FrozenMlp FreezeMlp(const tensor::Mlp& mlp) {
   return frozen;
 }
 
-// Nearest-centroid treatment row, matching MdModule::TreatmentRow.
+// Nearest-centroid treatment row, matching MdModule::TreatmentRow. Four
+// centroids' distances accumulate per pass over the features (four
+// independent add chains in place of one); each sum still runs in
+// feature order in double, and the sums are compared in centroid order
+// with a strict <, so the first minimum wins exactly as before.
 int NearestCluster(const tensor::Matrix& centroids, const float* features) {
+  const int count = centroids.rows();
+  const int width = centroids.cols();
   int best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
-  for (int c = 0; c < centroids.rows(); ++c) {
-    double dist = 0.0;
-    const float* centroid = centroids.RowPtr(c);
-    for (int j = 0; j < centroids.cols(); ++j) {
-      const double d = static_cast<double>(features[j]) - centroid[j];
-      dist += d * d;
-    }
+  const auto consider = [&](int c, double dist) {
     if (dist < best_dist) {
       best_dist = dist;
       best = c;
     }
+  };
+  int c = 0;
+  for (; c + 4 <= count; c += 4) {
+    const float* c0 = centroids.RowPtr(c);
+    const float* c1 = centroids.RowPtr(c + 1);
+    const float* c2 = centroids.RowPtr(c + 2);
+    const float* c3 = centroids.RowPtr(c + 3);
+    double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+    for (int j = 0; j < width; ++j) {
+      const double f = features[j];
+      const double e0 = f - c0[j];
+      const double e1 = f - c1[j];
+      const double e2 = f - c2[j];
+      const double e3 = f - c3[j];
+      d0 += e0 * e0;
+      d1 += e1 * e1;
+      d2 += e2 * e2;
+      d3 += e3 * e3;
+    }
+    consider(c, d0);
+    consider(c + 1, d1);
+    consider(c + 2, d2);
+    consider(c + 3, d3);
+  }
+  for (; c < count; ++c) {
+    const float* centroid = centroids.RowPtr(c);
+    double dist = 0.0;
+    for (int j = 0; j < width; ++j) {
+      const double d = static_cast<double>(features[j]) - centroid[j];
+      dist += d * d;
+    }
+    consider(c, dist);
   }
   return best;
 }
@@ -54,11 +87,22 @@ tensor::Matrix FrozenMlp::Forward(const tensor::Matrix& x) const {
 
 tensor::Matrix FrozenMlp::Forward(const tensor::Matrix& x,
                                   tensor::kernels::QuantMode mode) const {
+  if (layers.empty()) return x;
+  Workspace ws;
+  const float* y = Forward(x.ReadPtr(), x.rows(), x.cols(), mode, &ws);
+  tensor::Matrix out(x.rows(), OutputWidth(x.cols()));
+  std::copy(y, y + out.size(), out.data().data());
+  return out;
+}
+
+const float* FrozenMlp::Forward(const float* x, int m, int k,
+                                tensor::kernels::QuantMode mode,
+                                Workspace* ws) const {
   // One fused kernel pass per layer: the bias add and activation ride
   // the accumulation epilogue, so nothing is allocated beyond the layer
-  // output itself. On the float path the arithmetic order matches the
-  // old MatMul -> AddRowBroadcast -> activate chain, hence bit-identical
-  // on the reference backend.
+  // outputs, and those live in `ws`. On the float path the arithmetic
+  // order matches the old MatMul -> AddRowBroadcast -> activate chain,
+  // hence bit-identical on the reference backend.
   //
   // Under int8, each wide layer dynamically quantizes its input rows
   // (group-wise, row-local) and runs the fused int8 kernel; layers
@@ -76,36 +120,35 @@ tensor::Matrix FrozenMlp::Forward(const tensor::Matrix& x,
   // (covering the activation-quantization pass too — that work exists
   // only because the kernel is quantized, so it is kernel time).
   const obs::TimedGemmBackend gemm(tensor::kernels::ActiveBackend());
-  tensor::kernels::QuantizedRows rows;  // reused across quantized layers
-  tensor::Matrix h;
-  const tensor::Matrix* cur = &x;  // no copy of the input row block
+  const float* cur = x;  // no copy of the input row block
+  int cur_cols = k;
   for (size_t li = 0; li < layers.size(); ++li) {
     const Layer& layer = layers[li];
-    DSSDDI_CHECK(cur->cols() == layer.weight.rows())
+    DSSDDI_CHECK(cur_cols == layer.weight.rows())
         << "frozen layer expects " << layer.weight.rows() << " features, got "
-        << cur->cols();
-    tensor::Matrix next(cur->rows(), layer.weight.cols());
-    if (use_int8 &&
-        layer.weight.cols() >= tensor::kernels::kQuantMinColumns) {
+        << cur_cols;
+    const int n = layer.weight.cols();
+    // Every element is overwritten by the kernel, and a reused workspace
+    // already has the size, so this resize allocates on first use only.
+    tensor::AlignedFloatVector& next = ws->outputs[li % 2];
+    next.resize(static_cast<size_t>(m) * n);
+    if (use_int8 && n >= tensor::kernels::kQuantMinColumns) {
       const QuantizedMlp::Layer& q = quantized.layers[li];
       obs::ScopedKernelTimer kernel_timer;
-      tensor::kernels::QuantizeRowsSymmetric(cur->ReadPtr(), cur->rows(),
-                                             cur->cols(), &rows);
+      tensor::kernels::QuantizeRowsSymmetric(cur, m, cur_cols, &ws->rows);
       tensor::kernels::QGemmBiasAct(
-          rows, q.weights, q.bias.ReadPtr(), next.data().data(),
+          ws->rows, q.weights, q.bias.ReadPtr(), next.data(),
           static_cast<tensor::kernels::EpilogueActivation>(q.activation));
     } else {
       gemm.GemmBiasAct(
-          cur->rows(), cur->cols(), layer.weight.cols(), cur->ReadPtr(),
-          layer.weight.ReadPtr(), layer.bias.ReadPtr(),
-          next.data().data(),
+          m, cur_cols, n, cur, layer.weight.ReadPtr(), layer.bias.ReadPtr(),
+          next.data(),
           static_cast<tensor::kernels::EpilogueActivation>(layer.activation));
     }
-    h = std::move(next);
-    cur = &h;
+    cur = next.data();
+    cur_cols = n;
   }
-  if (layers.empty()) return x;
-  return h;
+  return cur;
 }
 
 void FrozenMlp::BuildQuantized() { quantized = QuantizeMlp(*this); }
@@ -128,16 +171,26 @@ tensor::Matrix InferenceBundle::PredictScores(const tensor::Matrix& x) const {
   const tensor::kernels::QuantMode mode = EffectiveQuantMode();
   const int num_patients = x.rows();
   const int v_count = num_drugs();
-  const tensor::Matrix h_patients = patient_fc.Forward(x, mode);
+  FrozenMlp::Workspace patient_ws;
+  const float* h_patients =
+      patient_fc.Forward(x.ReadPtr(), num_patients, x.cols(), mode, &patient_ws);
+  const int patient_width = patient_fc.OutputWidth(x.cols());
 
+  // One patient's |V| decoder rows at a time, in a tile and a decoder
+  // workspace shared by every patient of the batch: the batch-sized
+  // decoder input, its int8 copy and the layer outputs are never built.
   const int interaction_dim = mlp_decoder ? hidden_dim : 1;
-  tensor::Matrix decoder_input(num_patients * v_count, interaction_dim + 1);
+  const int tile_width = interaction_dim + 1;
+  const int logit_stride = decoder.OutputWidth(tile_width);
+  tensor::AlignedFloatVector tile(static_cast<size_t>(v_count) * tile_width);
+  FrozenMlp::Workspace decoder_ws;
+  tensor::Matrix scores(num_patients, v_count);
   for (int i = 0; i < num_patients; ++i) {
     const int cluster = NearestCluster(cluster_centroids, x.RowPtr(i));
     const float* treatment = cluster_treatment.RowPtr(cluster);
-    const float* hp = h_patients.RowPtr(i);
+    const float* hp = h_patients + static_cast<size_t>(i) * patient_width;
     for (int v = 0; v < v_count; ++v) {
-      float* row = decoder_input.RowPtr(i * v_count + v);
+      float* row = tile.data() + static_cast<size_t>(v) * tile_width;
       const float* hd = final_drug_reps.RowPtr(v);
       if (mlp_decoder) {
         for (int j = 0; j < hidden_dim; ++j) row[j] = hp[j] * hd[j];
@@ -148,12 +201,11 @@ tensor::Matrix InferenceBundle::PredictScores(const tensor::Matrix& x) const {
       }
       row[interaction_dim] = use_treatment_feature ? treatment[v] : 0.0f;
     }
-  }
-  const tensor::Matrix logits = decoder.Forward(decoder_input, mode);
-  tensor::Matrix scores(num_patients, v_count);
-  for (int i = 0; i < num_patients; ++i) {
+    const float* logits =
+        decoder.Forward(tile.data(), v_count, tile_width, mode, &decoder_ws);
+    float* out = scores.RowPtr(i);
     for (int v = 0; v < v_count; ++v) {
-      scores.At(i, v) = 1.0f / (1.0f + std::exp(-logits.At(i * v_count + v, 0)));
+      out[v] = 1.0f / (1.0f + std::exp(-logits[static_cast<size_t>(v) * logit_stride]));
     }
   }
   return scores;

@@ -43,6 +43,27 @@ struct FrozenMlp {
   tensor::Matrix Forward(const tensor::Matrix& x,
                          tensor::kernels::QuantMode mode) const;
 
+  /// The buffers a Forward pass runs in: each layer's output (two,
+  /// alternating) and the int8 layers' quantized input rows. They grow
+  /// to the largest shape seen and are reused after that, so a caller
+  /// that pushes many row blocks through one workspace allocates once.
+  struct Workspace {
+    tensor::kernels::QuantizedRows rows;
+    tensor::AlignedFloatVector outputs[2];
+  };
+
+  /// The same pass over `m` row-major rows of width `k` at `x`, computed
+  /// in `ws`. Returns the m x OutputWidth(k) result, valid until `ws` is
+  /// next used; with no layers it returns `x` itself. The Matrix
+  /// overloads run through this one.
+  const float* Forward(const float* x, int m, int k,
+                       tensor::kernels::QuantMode mode, Workspace* ws) const;
+
+  /// Columns of the output for `in_features`-wide input.
+  int OutputWidth(int in_features) const {
+    return layers.empty() ? in_features : layers.back().weight.cols();
+  }
+
   /// (Re)derives `quantized` from the float layers. Deterministic;
   /// idempotent; cheap (one pass over the weights).
   void BuildQuantized();
@@ -125,6 +146,14 @@ struct InferenceBundle {
   /// On the float path, bit-identical to MdModule::PredictScores on the
   /// same weights. Under int8 the two MLP passes run the quantized
   /// kernels; scores stay row-local, so batching never changes them.
+  ///
+  /// `patient_fc` runs once over the whole batch; the decoder then runs
+  /// one patient at a time over that patient's |V| interaction rows, in
+  /// one tile (and one decoder workspace) allocated per call and reused
+  /// for every patient, so the working set is a few tens of KB whatever
+  /// the batch size. Every step is row-local (the interaction rows, the
+  /// int8 activation quantization, both decoder layers, the sigmoid), so
+  /// the tiling never changes a score.
   tensor::Matrix PredictScores(const tensor::Matrix& x) const;
 
   /// Top-k suggestion with Medical Support explanation for one patient

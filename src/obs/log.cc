@@ -89,22 +89,22 @@ void FlightRecorder::Record(LogSeverity severity, LogReason reason,
                                              std::memory_order_relaxed);
   }
   if (claimed) {
-    // Orders the odd stamp before every field store below: a reader that
-    // sees any new field value then also sees seq moved (its acquire
-    // fence pairs with this one).
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.severity.store(static_cast<int>(severity), std::memory_order_relaxed);
-    slot.reason.store(static_cast<int>(reason), std::memory_order_relaxed);
-    slot.route.store(route, std::memory_order_relaxed);
-    slot.detail.store(detail, std::memory_order_relaxed);
-    slot.status.store(status, std::memory_order_relaxed);
-    slot.trace_id.store(trace_id, std::memory_order_relaxed);
-    slot.unix_seconds.store(UnixSecondsNow(), std::memory_order_relaxed);
-    slot.total_ms.store(total_ms, std::memory_order_relaxed);
+    // Every field is a release store: each orders the odd stamp before
+    // itself, so a reader whose acquire load sees any new field value
+    // also sees seq moved on its recheck. (The same ordering as a
+    // release fence after the claim, in a form ThreadSanitizer checks.)
+    slot.severity.store(static_cast<int>(severity), std::memory_order_release);
+    slot.reason.store(static_cast<int>(reason), std::memory_order_release);
+    slot.route.store(route, std::memory_order_release);
+    slot.detail.store(detail, std::memory_order_release);
+    slot.status.store(status, std::memory_order_release);
+    slot.trace_id.store(trace_id, std::memory_order_release);
+    slot.unix_seconds.store(UnixSecondsNow(), std::memory_order_release);
+    slot.total_ms.store(total_ms, std::memory_order_release);
     for (int s = 0; s < kNumStages; ++s) {
       const uint64_t ns =
           trace != nullptr ? trace->StageNs(static_cast<Stage>(s)) : 0;
-      slot.stage_ns[static_cast<size_t>(s)].store(ns, std::memory_order_relaxed);
+      slot.stage_ns[static_cast<size_t>(s)].store(ns, std::memory_order_release);
     }
     slot.seq.store(stamp, std::memory_order_release);
   }
@@ -131,22 +131,23 @@ bool FlightRecorder::ReadSlot(size_t index, LogEvent* out,
     const uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before == 0) return false;       // never written
     if ((before & 1u) != 0) continue;    // writer mid-stamp
+    // Acquire field loads keep the seq recheck below after every one of
+    // them, and pair with the writer's release field stores.
     LogEvent event;
     event.severity =
-        static_cast<LogSeverity>(slot.severity.load(std::memory_order_relaxed));
+        static_cast<LogSeverity>(slot.severity.load(std::memory_order_acquire));
     event.reason =
-        static_cast<LogReason>(slot.reason.load(std::memory_order_relaxed));
-    event.route = slot.route.load(std::memory_order_relaxed);
-    event.detail = slot.detail.load(std::memory_order_relaxed);
-    event.status = slot.status.load(std::memory_order_relaxed);
-    event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    event.unix_seconds = slot.unix_seconds.load(std::memory_order_relaxed);
-    event.total_ms = slot.total_ms.load(std::memory_order_relaxed);
+        static_cast<LogReason>(slot.reason.load(std::memory_order_acquire));
+    event.route = slot.route.load(std::memory_order_acquire);
+    event.detail = slot.detail.load(std::memory_order_acquire);
+    event.status = slot.status.load(std::memory_order_acquire);
+    event.trace_id = slot.trace_id.load(std::memory_order_acquire);
+    event.unix_seconds = slot.unix_seconds.load(std::memory_order_acquire);
+    event.total_ms = slot.total_ms.load(std::memory_order_acquire);
     for (int s = 0; s < kNumStages; ++s) {
       event.stage_ns[static_cast<size_t>(s)] =
-          slot.stage_ns[static_cast<size_t>(s)].load(std::memory_order_relaxed);
+          slot.stage_ns[static_cast<size_t>(s)].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     *out = event;
     *ticket = before / 2 - 1;  // seq == 2 * (ticket + 1)

@@ -259,10 +259,12 @@ void Histogram::Record(double value, uint64_t exemplar_trace_id,
   // lets readers detect a mid-update slot without blocking the writer.
   ExemplarSlot& slot = exemplars_[static_cast<size_t>(bucket)];
   if (slot.busy.exchange(true, std::memory_order_acquire)) return;
-  slot.seq.fetch_add(1, std::memory_order_release);  // now odd
-  slot.trace_id.store(exemplar_trace_id, std::memory_order_relaxed);
-  slot.value.store(value, std::memory_order_relaxed);
-  slot.timestamp.store(unix_seconds, std::memory_order_relaxed);
+  // Release field stores order the odd seq before each of them, so a
+  // reader whose acquire load sees a new field also sees seq moved.
+  slot.seq.fetch_add(1, std::memory_order_relaxed);  // now odd
+  slot.trace_id.store(exemplar_trace_id, std::memory_order_release);
+  slot.value.store(value, std::memory_order_release);
+  slot.timestamp.store(unix_seconds, std::memory_order_release);
   slot.seq.fetch_add(1, std::memory_order_release);  // even again
   slot.busy.store(false, std::memory_order_release);
 }
@@ -277,10 +279,10 @@ Exemplar Histogram::ExemplarAt(int bucket) const {
       if (before == 0) return out;  // never written
       continue;                     // writer mid-update, retry
     }
-    const uint64_t trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    const double value = slot.value.load(std::memory_order_relaxed);
-    const double timestamp = slot.timestamp.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads keep the seq recheck below after all three.
+    const uint64_t trace_id = slot.trace_id.load(std::memory_order_acquire);
+    const double value = slot.value.load(std::memory_order_acquire);
+    const double timestamp = slot.timestamp.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     out.trace_id = trace_id;
     out.value = value;

@@ -169,7 +169,7 @@ class Histogram {
     std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
   };
   /// Seqlock-guarded exemplar slot: writers take the try-lock (skip on
-  /// contention), bump seq to odd, store fields relaxed, bump seq to
+  /// contention), bump seq to odd, store fields with release, bump seq to
   /// even. Readers accept only even, unchanged, nonzero seqs. All-atomic
   /// so concurrent access is defined (and TSan-clean) without a mutex.
   struct ExemplarSlot {

@@ -339,12 +339,11 @@ void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
   batches_->Increment();
   batch_rows_->Add(static_cast<uint64_t>(total));
 
-  // Score the whole batch in one kernel-backed matrix pass. The
-  // hand-rolled score tiling that used to live here is gone: keeping the
-  // working set cache-resident is the GEMM backend's job now (the
-  // blocked backend tiles internally; the reference backend streams).
-  // Rows are independent in PredictScores, so batch grouping leaves
-  // every result bit-identical.
+  // Score the whole batch in one PredictScores call: patient_fc runs
+  // once over the batch, then the decoder runs one patient's |V| rows at
+  // a time in one tile reused for every patient, so the working set
+  // stays a few tens of KB at any batch size. Rows are independent in
+  // PredictScores, so batch grouping leaves every result bit-identical.
   int finished = 0;  // requests whose completion already fired
   try {
     tensor::Matrix x(total, width);

@@ -192,10 +192,10 @@ struct ModelSnapshot {
 /// (callback-based, what the HTTP front-end uses) or `SubmitBatch`
 /// (blocking convenience). They wait in one RequestBatcher queue; each
 /// scoring thread, when free, cuts whatever is queued into a micro-batch
-/// and scores it in one `InferenceBundle::PredictScores` pass on the
-/// active GEMM backend (cache blocking lives inside the kernel layer,
-/// not up here). A sharded LRU SuggestionCache short-circuits repeat
-/// (patient_id, k) queries. While a keyed query is being scored,
+/// and scores it in one `InferenceBundle::PredictScores` call on the
+/// active GEMM backend (PredictScores tiles the decoder per patient; the
+/// service does no tiling). A sharded LRU SuggestionCache short-circuits
+/// repeat (patient_id, k) queries. While a keyed query is being scored,
 /// identical arrivals coalesce onto it (singleflight) instead of queuing
 /// duplicate work.
 /// Results are bit-identical to calling `InferenceBundle::Suggest` (and

@@ -4,15 +4,21 @@
 // scores). Includes failure injection: truncation, bit flips, wrong
 // artifact kind, and inconsistent dimensions must all be rejected.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/dssddi_system.h"
+#include "core/suggestion_model.h"
 #include "gtest/gtest.h"
 #include "io/binary.h"
 #include "io/bundle_v3.h"
@@ -20,6 +26,9 @@
 #include "io/inference_bundle.h"
 #include "io/mmap_file.h"
 #include "io/serialize.h"
+#include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
+#include "tensor/nn.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -671,6 +680,257 @@ TEST(FrozenMlpTest, ForwardMatchesHandComputation) {
   const tensor::Matrix y = mlp.Forward(x);
   EXPECT_FLOAT_EQ(y.At(0, 0), 4.0f);   // 2*1 + 1*3 - 1 = 4
   EXPECT_FLOAT_EQ(y.At(1, 0), 0.0f);   // relu(-1) = 0
+}
+
+// ---------------------------------------------------------------------
+// PredictScores / TopKDrugs against the whole-batch implementations they
+// replaced
+// ---------------------------------------------------------------------
+
+// Restores the process-wide GEMM backend a test switches.
+class BackendGuard {
+ public:
+  BackendGuard() : saved_(tensor::kernels::ActiveBackendName()) {}
+  ~BackendGuard() { tensor::kernels::SetBackend(saved_); }
+
+ private:
+  std::string saved_;
+};
+
+// The frozen-MLP pass as it ran before workspaces: one freshly allocated
+// output per layer, calling the kernels directly.
+tensor::Matrix WholeBatchForward(const io::FrozenMlp& mlp, const tensor::Matrix& x,
+                                 tensor::kernels::QuantMode mode) {
+  const bool use_int8 = mode == tensor::kernels::QuantMode::kInt8 &&
+                        mlp.quantized.layers.size() == mlp.layers.size() &&
+                        !mlp.layers.empty();
+  tensor::kernels::QuantizedRows rows;
+  tensor::Matrix h = x;
+  for (size_t li = 0; li < mlp.layers.size(); ++li) {
+    const io::FrozenMlp::Layer& layer = mlp.layers[li];
+    tensor::Matrix next(h.rows(), layer.weight.cols());
+    if (use_int8 && layer.weight.cols() >= tensor::kernels::kQuantMinColumns) {
+      const io::QuantizedMlp::Layer& q = mlp.quantized.layers[li];
+      tensor::kernels::QuantizeRowsSymmetric(h.ReadPtr(), h.rows(), h.cols(), &rows);
+      tensor::kernels::QGemmBiasAct(
+          rows, q.weights, q.bias.ReadPtr(), next.data().data(),
+          static_cast<tensor::kernels::EpilogueActivation>(q.activation));
+    } else {
+      tensor::kernels::ActiveBackend().GemmBiasAct(
+          h.rows(), h.cols(), layer.weight.cols(), h.ReadPtr(),
+          layer.weight.ReadPtr(), layer.bias.ReadPtr(), next.data().data(),
+          static_cast<tensor::kernels::EpilogueActivation>(layer.activation));
+    }
+    h = std::move(next);
+  }
+  return h;
+}
+
+// InferenceBundle::PredictScores as it ran before per-patient tiles: one
+// batch-sized decoder input, one serial distance sum per centroid.
+tensor::Matrix WholeBatchPredictScores(const io::InferenceBundle& bundle,
+                                       const tensor::Matrix& x) {
+  const tensor::kernels::QuantMode mode = bundle.EffectiveQuantMode();
+  const int num_patients = x.rows();
+  const int v_count = bundle.num_drugs();
+  const tensor::Matrix h_patients = WholeBatchForward(bundle.patient_fc, x, mode);
+  const int interaction_dim = bundle.mlp_decoder ? bundle.hidden_dim : 1;
+  tensor::Matrix decoder_input(num_patients * v_count, interaction_dim + 1);
+  for (int i = 0; i < num_patients; ++i) {
+    int cluster = 0;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (int c = 0; c < bundle.cluster_centroids.rows(); ++c) {
+      double dist = 0.0;
+      const float* centroid = bundle.cluster_centroids.RowPtr(c);
+      for (int j = 0; j < bundle.cluster_centroids.cols(); ++j) {
+        const double d = static_cast<double>(x.At(i, j)) - centroid[j];
+        dist += d * d;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        cluster = c;
+      }
+    }
+    const float* treatment = bundle.cluster_treatment.RowPtr(cluster);
+    const float* hp = h_patients.RowPtr(i);
+    for (int v = 0; v < v_count; ++v) {
+      float* row = decoder_input.RowPtr(i * v_count + v);
+      const float* hd = bundle.final_drug_reps.RowPtr(v);
+      if (bundle.mlp_decoder) {
+        for (int j = 0; j < bundle.hidden_dim; ++j) row[j] = hp[j] * hd[j];
+      } else {
+        double acc = 0.0;
+        for (int j = 0; j < bundle.hidden_dim; ++j) {
+          acc += static_cast<double>(hp[j]) * hd[j];
+        }
+        row[0] = static_cast<float>(acc);
+      }
+      row[interaction_dim] = bundle.use_treatment_feature ? treatment[v] : 0.0f;
+    }
+  }
+  const tensor::Matrix logits = WholeBatchForward(bundle.decoder, decoder_input, mode);
+  tensor::Matrix scores(num_patients, v_count);
+  for (int i = 0; i < num_patients; ++i) {
+    for (int v = 0; v < v_count; ++v) {
+      scores.At(i, v) = 1.0f / (1.0f + std::exp(-logits.At(i * v_count + v, 0)));
+    }
+  }
+  return scores;
+}
+
+tensor::Matrix RandomMatrix(int rows, int cols, double lo, double hi, util::Rng& rng) {
+  tensor::Matrix m(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) m.At(i, j) = static_cast<float>(rng.Uniform(lo, hi));
+  }
+  return m;
+}
+
+io::FrozenMlp::Layer RandomLayer(int in, int out, tensor::Activation activation,
+                                 util::Rng& rng) {
+  io::FrozenMlp::Layer layer;
+  const double bound = 1.0 / std::sqrt(static_cast<double>(in));
+  layer.weight = RandomMatrix(in, out, -bound, bound, rng);
+  layer.bias = RandomMatrix(1, out, -0.1, 0.1, rng);
+  layer.activation = static_cast<int>(activation);
+  return layer;
+}
+
+// A bundle with the deployed shapes (71 features, |V| = 86, hidden 64,
+// 15 treatment clusters) and random weights. Centroids 5 and 9 repeat
+// centroids 4 and 2 with different treatment rows, so a nearest-cluster
+// tie resolved to the wrong index changes the scores.
+io::InferenceBundle ServingShapedBundle(bool mlp_decoder, bool use_treatment_feature) {
+  constexpr int kFeatures = 71, kDrugs = 86, kHidden = 64, kClusters = 15;
+  util::Rng rng(mlp_decoder ? 2201 : 2202);
+  io::InferenceBundle bundle;
+  bundle.hidden_dim = kHidden;
+  bundle.mlp_decoder = mlp_decoder;
+  bundle.use_treatment_feature = use_treatment_feature;
+  bundle.patient_fc.layers = {
+      RandomLayer(kFeatures, kHidden, tensor::Activation::kLeakyRelu, rng),
+      RandomLayer(kHidden, kHidden, tensor::Activation::kLeakyRelu, rng)};
+  if (mlp_decoder) {
+    bundle.decoder.layers = {
+        RandomLayer(kHidden + 1, kHidden, tensor::Activation::kRelu, rng),
+        RandomLayer(kHidden, 1, tensor::Activation::kNone, rng)};
+  } else {
+    bundle.decoder.layers = {RandomLayer(2, 1, tensor::Activation::kNone, rng)};
+  }
+  bundle.final_drug_reps = RandomMatrix(kDrugs, kHidden, -1.0, 1.0, rng);
+  bundle.cluster_centroids = RandomMatrix(kClusters, kFeatures, 0.0, 1.0, rng);
+  for (const auto& [copy, source] : {std::pair{5, 4}, std::pair{9, 2}}) {
+    std::copy(bundle.cluster_centroids.RowPtr(source),
+              bundle.cluster_centroids.RowPtr(source) + kFeatures,
+              bundle.cluster_centroids.RowPtr(copy));
+  }
+  bundle.cluster_treatment = RandomMatrix(kClusters, kDrugs, 0.0, 1.0, rng);
+  bundle.EnsureQuantized();
+  return bundle;
+}
+
+// Patient rows: random, except every fourth sits exactly on a duplicated
+// centroid (a distance tie) and every fifth on a unique one.
+tensor::Matrix PatientRows(const io::InferenceBundle& bundle, int rows, util::Rng& rng) {
+  tensor::Matrix x = RandomMatrix(rows, bundle.cluster_centroids.cols(), 0.0, 1.0, rng);
+  for (int i = 0; i < rows; ++i) {
+    const int centroid = i % 4 == 0 ? (i % 8 == 0 ? 4 : 2) : i % 5 == 0 ? 11 : -1;
+    if (centroid < 0) continue;
+    std::copy(bundle.cluster_centroids.RowPtr(centroid),
+              bundle.cluster_centroids.RowPtr(centroid) + x.cols(), x.RowPtr(i));
+  }
+  return x;
+}
+
+TEST(PredictScoresDifferentialTest, MatchesWholeBatchBitForBitInEveryMode) {
+  BackendGuard guard;
+  for (const bool mlp_decoder : {true, false}) {
+    for (const bool treatment : {true, false}) {
+      io::InferenceBundle bundle = ServingShapedBundle(mlp_decoder, treatment);
+      for (const char* backend : {"reference", "blocked"}) {
+        ASSERT_TRUE(tensor::kernels::SetBackend(backend));
+        for (const auto mode : {tensor::kernels::QuantMode::kNone,
+                                tensor::kernels::QuantMode::kInt8}) {
+          bundle.quantization = static_cast<int>(mode);
+          for (const int rows : {1, 3, 32, 33}) {
+            util::Rng rng(static_cast<uint64_t>(rows) * 7919);
+            const tensor::Matrix x = PatientRows(bundle, rows, rng);
+            const tensor::Matrix expected = WholeBatchPredictScores(bundle, x);
+            const tensor::Matrix actual = bundle.PredictScores(x);
+            ASSERT_TRUE(actual.SameShape(expected));
+            EXPECT_EQ(std::memcmp(actual.ReadPtr(), expected.ReadPtr(),
+                                  sizeof(float) * expected.size()),
+                      0)
+                << (mlp_decoder ? "mlp" : "dot-linear") << " decoder, treatment "
+                << treatment << ", " << backend << ", "
+                << tensor::kernels::QuantModeName(mode) << ", " << rows << " rows";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PredictScoresDifferentialTest, TrainedBundleMatchesWholeBatch) {
+  const data::SuggestionDataset dataset = testing::TinyDataset();
+  core::DssddiConfig config;
+  config.ddi.epochs = 20;
+  config.md.epochs = 20;
+  config.md.hidden_dim = 16;
+  core::DssddiSystem system(config);
+  system.Fit(dataset);
+  io::InferenceBundle bundle = io::ExtractInferenceBundle(system, dataset);
+  const tensor::Matrix x = dataset.patient_features;
+  for (const auto mode : {tensor::kernels::QuantMode::kNone,
+                          tensor::kernels::QuantMode::kInt8}) {
+    bundle.quantization = static_cast<int>(mode);
+    const tensor::Matrix expected = WholeBatchPredictScores(bundle, x);
+    const tensor::Matrix actual = bundle.PredictScores(x);
+    ASSERT_TRUE(actual.SameShape(expected));
+    EXPECT_EQ(std::memcmp(actual.ReadPtr(), expected.ReadPtr(),
+                          sizeof(float) * expected.size()),
+              0)
+        << tensor::kernels::QuantModeName(mode);
+  }
+}
+
+std::vector<int> StableSortTopK(const tensor::Matrix& scores, int row, int k) {
+  std::vector<int> order(scores.cols());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return scores.At(row, a) > scores.At(row, b);
+  });
+  order.resize(std::min(k, scores.cols()));
+  return order;
+}
+
+TEST(TopKDrugsDifferentialTest, MatchesStableSortOnTieHeavyRows) {
+  constexpr int kDrugs = 86;
+  // Few distinct values, +0 beside -0, so most rows are mostly ties.
+  const float values[] = {1.0f, 0.75f, 0.5f, 0.0f, -0.0f, -0.5f, 0.5f, 0.0f};
+  util::Rng rng(86);
+  tensor::Matrix scores(24, kDrugs);
+  for (int r = 0; r < scores.rows(); ++r) {
+    for (int v = 0; v < kDrugs; ++v) {
+      scores.At(r, v) = r < 4 ? values[(r + v) % 3 + 3]  // only 0, -0, -0.5
+                        : r < 16 ? values[rng.NextBelow(8)]
+                                 : static_cast<float>(rng.Uniform(0.0, 1.0));
+    }
+  }
+  for (int r = 0; r < scores.rows(); ++r) {
+    for (const int k : {1, 3, 10, kDrugs, kDrugs + 1, 4 * kDrugs}) {
+      EXPECT_EQ(core::TopKDrugs(scores, r, k), StableSortTopK(scores, r, k))
+          << "row " << r << " k " << k;
+    }
+  }
+}
+
+TEST(TopKDrugsDifferentialTest, NanScoresRankLastByDrugId) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const tensor::Matrix scores({{nan, 0.5f, nan, -1.0f, 0.5f}});
+  EXPECT_EQ(core::TopKDrugs(scores, 0, 5), (std::vector<int>{1, 4, 3, 0, 2}));
+  EXPECT_EQ(core::TopKDrugs(scores, 0, 2), (std::vector<int>{1, 4}));
+  EXPECT_TRUE(core::TopKDrugs(scores, 0, 0).empty());
 }
 
 // ---------------------------------------------------------------------

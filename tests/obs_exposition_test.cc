@@ -23,6 +23,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -750,8 +751,10 @@ TEST_F(ObsEndToEndTest, MetricszServesParseableHistogramsPerRouteAndStage) {
   }
 
   // Trace finalization happens when the last trace reference drops,
-  // which can trail the client seeing the response; poll until the
-  // serialize stage histogram has seen every request.
+  // which can trail the client seeing the response, and it records the
+  // stages one histogram at a time, so a render can land between two of
+  // them; poll until every hot stage histogram has seen every request.
+  const char* const hot_stages[] = {"queue_wait", "gemm", "epilogue", "serialize"};
   PromExposition exposition;
   for (int attempt = 0; attempt < 100; ++attempt) {
     net::ClientResponse response;
@@ -761,9 +764,13 @@ TEST_F(ObsEndToEndTest, MetricszServesParseableHistogramsPerRouteAndStage) {
     ASSERT_NE(content_type, nullptr);
     EXPECT_EQ(*content_type, "text/plain; version=0.0.4");
     exposition = ParsePrometheus(response.body);
-    const PromSample* serialized = exposition.Find(
-        "dssddi_stage_latency_ms_count", {{"stage", "serialize"}});
-    if (serialized != nullptr && serialized->value >= kRequests) break;
+    const bool all_seen =
+        std::all_of(std::begin(hot_stages), std::end(hot_stages), [&](const char* hot) {
+          const PromSample* count =
+              exposition.Find("dssddi_stage_latency_ms_count", {{"stage", hot}});
+          return count != nullptr && count->value >= kRequests;
+        });
+    if (all_seen) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   CheckHistogramsConsistent(exposition);
@@ -788,7 +795,7 @@ TEST_F(ObsEndToEndTest, MetricszServesParseableHistogramsPerRouteAndStage) {
     ASSERT_NE(stage_count, nullptr)
         << obs::StageName(static_cast<obs::Stage>(s));
   }
-  for (const char* hot : {"queue_wait", "gemm", "epilogue", "serialize"}) {
+  for (const char* hot : hot_stages) {
     const PromSample* stage_count = exposition.Find(
         "dssddi_stage_latency_ms_count", {{"stage", hot}});
     ASSERT_NE(stage_count, nullptr);

@@ -205,9 +205,14 @@ TEST(QGemmBiasActTest, DispatchAndPortableKernelsAgreeBitForBit) {
   // accumulation-order contract in qgemm_internal.h is the guarantee
   // that a bundle scores identically on every machine.
   util::Rng rng(41);
-  for (const auto [m, k, n] : {std::tuple<int, int, int>{2752, 65, 64},
-                               {5, 96, 7},
-                               {1, 33, 1}}) {
+  std::vector<std::tuple<int, int, int>> shapes = {{2752, 65, 64}, {5, 96, 7}, {1, 33, 1}};
+  // One patient's decoder tile is 86 rows; sweep the contraction across
+  // group boundaries (1 channel to three groups plus one) and the
+  // columns across the 8-wide tile edge.
+  for (const int k : {1, 4, 31, 32, 33, 71, 97}) {
+    for (const int n : {1, 8, 9, 64}) shapes.emplace_back(86, k, n);
+  }
+  for (const auto& [m, k, n] : shapes) {
     const Matrix a = RandomMatrix(m, k, rng, 2.0);
     const Matrix w = RandomMatrix(k, n, rng, 0.7);
     const Matrix bias = RandomMatrix(1, n, rng);
