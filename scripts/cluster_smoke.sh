@@ -3,11 +3,14 @@
 # Usage: scripts/cluster_smoke.sh [build-dir]   (default: build)
 #
 # Boots examples/replica_cluster (3 replicas behind the router on an
-# ephemeral port), drives /v1/suggest load, stops a replica through
-# /admin/replica mid-load, and asserts:
+# ephemeral port), drives /v1/suggest load — alternating JSON bodies and
+# binary wire frames (Content-Type: application/x-dssddi, which the
+# router sends over its pipelined replica connections) — stops a
+# replica through /admin/replica mid-load, and asserts:
 #
-#   1. every /v1/suggest request answers 200 throughout the drill
-#      (retries + breakers absorb the dead replica),
+#   1. every /v1/suggest request answers 200 throughout the drill, and
+#      every binary 200 carries a response frame (retries + breakers
+#      absorb the dead replica),
 #   2. /readyz reports the outage (available drops below the replica
 #      count) and recovers to all-available after the restart,
 #   3. the router's own metrics confirm zero 5xx on /v1/suggest.
@@ -78,12 +81,46 @@ BODY="$WORK_DIR/body.json"
   printf '],"k":3}'
 } >"$BODY"
 
+# The same request as a wire frame (src/net/wire.h, version 2): a
+# 16-byte header (magic "DS", version, type 1 = suggest request, payload
+# length, request_id), then patient_id -1 (no cache), deadline_ms 0,
+# k 3, flags 0, reserved 0, trace_id 0, the feature count and the
+# features as little-endian binary32.
+FRAME="$WORK_DIR/body.bin"
+REPLY="$WORK_DIR/reply.bin"
+python3 - "$WIDTH" "$FRAME" <<'EOF'
+import struct
+import sys
+
+width, path = int(sys.argv[1]), sys.argv[2]
+payload = struct.pack("<qIHBBQI", -1, 0, 3, 0, 0, 0, width)
+payload += struct.pack("<%df" % width, *([0.1] * width))
+header = struct.pack("<HBBIQ", 0x4453, 2, 1, len(payload), 0)
+with open(path, "wb") as out:
+    out.write(header + payload)
+EOF
+
 FAILS=0
-drive() {  # drive N [base] — N suggest requests; counts non-200s in FAILS
+BINARY_SENT=0
+drive() {  # drive N [base] — N suggest requests, JSON and binary in turn;
+           # counts non-200s (and binary 200s without a response frame)
+           # in FAILS
   local n="$1" base="${2:-$BASE}" code
   for ((r = 0; r < n; ++r)); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' --max-time 10 \
-           -d @"$BODY" "$base/v1/suggest" || echo 000)
+    if ((r % 2 == 0)); then
+      code=$(curl -s -o /dev/null -w '%{http_code}' --max-time 10 \
+             -d @"$BODY" "$base/v1/suggest" || echo 000)
+    else
+      BINARY_SENT=$((BINARY_SENT + 1))
+      code=$(curl -s -o "$REPLY" -w '%{http_code}' --max-time 10 \
+             -H 'Content-Type: application/x-dssddi' \
+             --data-binary @"$FRAME" "$base/v1/suggest" || echo 000)
+      # Byte 3 of a frame is its type: 2 = suggest response.
+      if [[ "$code" == 200 &&
+            "$(od -An -tu1 -j3 -N1 "$REPLY" | tr -d ' ')" != 2 ]]; then
+        code="200 without a response frame"
+      fi
+    fi
     if [[ "$code" != 200 ]]; then
       FAILS=$((FAILS + 1))
       echo "  non-200 on /v1/suggest: $code" >&2
@@ -144,7 +181,8 @@ if [[ "$FIVEXX" != 0 || "$FAILS" != 0 ]]; then
 fi
 
 echo "replica drill: PASS (readyz flipped to $READY_DEGRADED and recovered," \
-     "0 of the drill's suggest requests failed, 5xx=0)"
+     "0 of the drill's suggest requests failed ($BINARY_SENT binary" \
+     "frames), 5xx=0)"
 
 # Replica drill done; free its ports before the shard drill boots.
 kill "$CLUSTER_PID" 2>/dev/null || true

@@ -55,14 +55,20 @@ void EventLoop::Remove(int fd) {
 }
 
 bool EventLoop::Post(std::function<void()> task) {
+  bool was_empty = false;
   {
     std::lock_guard<std::mutex> lock(post_mutex_);
     if (closed_) return false;
+    was_empty = posted_.empty();
     posted_.push_back(std::move(task));
   }
-  const uint64_t one = 1;
-  // A full eventfd counter (EAGAIN) still means the loop will wake.
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  // Only the post that makes the queue non-empty wakes the loop: until
+  // RunPosted takes the queue, that wakeup is still due and covers every
+  // later task. A full eventfd counter (EAGAIN) still means it will wake.
+  if (was_empty) {
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  }
   return true;
 }
 
@@ -77,9 +83,9 @@ void EventLoop::Stop() {
 }
 
 void EventLoop::DrainWakeups() {
+  // One read returns and clears the whole eventfd counter.
   uint64_t counter = 0;
-  while (::read(wake_fd_, &counter, sizeof(counter)) > 0) {
-  }
+  [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &counter, sizeof(counter));
 }
 
 void EventLoop::RunPosted() {

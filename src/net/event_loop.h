@@ -19,7 +19,8 @@ namespace dssddi::net {
 /// until EAGAIN) on every call.
 ///
 /// `Post` is the only cross-thread entry point besides `Stop`: it queues
-/// a closure and wakes the loop via an eventfd. After `Stop`, `Post`
+/// a closure and wakes the loop via an eventfd — one write per batch of
+/// posts, by the post that finds the queue empty. After `Stop`, `Post`
 /// returns false and drops the closure — callers holding the loop via
 /// shared_ptr (e.g. in-flight response writers) degrade to no-ops
 /// instead of touching a dead loop.

@@ -7,10 +7,10 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "net/wire.h"
@@ -20,15 +20,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int RemainingMs(Clock::time_point deadline) {
-  const auto left =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                            Clock::now());
-  return static_cast<int>(left.count());
-}
-
-/// Blocking connect with SO_SNDTIMEO as the connect (and send) bound.
-/// No SO_RCVTIMEO: the reader thread parks in recv indefinitely and is
+/// Blocking connect with SO_SNDTIMEO as the connect bound. No
+/// SO_RCVTIMEO: the reader thread parks in recv indefinitely and is
 /// woken by shutdown(), not by timeouts.
 int Dial(const PipelinedClientOptions& options, io::Status* status) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -63,6 +56,37 @@ int Dial(const PipelinedClientOptions& options, io::Status* status) {
   return fd;
 }
 
+/// Turns a received frame into the exchange's response: status 200 for
+/// a response frame, the embedded status for an error frame, and the
+/// caller's own request_id restored onto the body.
+io::Status ToResponse(std::string body, uint64_t caller_id,
+                      ClientResponse* out) {
+  wire::FrameType type;
+  std::string peek_error;
+  if (!wire::PeekFrameType(body, &type, &peek_error)) {
+    return io::Status::Error("unreadable response frame: " + peek_error);
+  }
+  if (type == wire::FrameType::kSuggestResponse) {
+    out->status = 200;
+  } else if (type == wire::FrameType::kError) {
+    wire::ErrorFrame error_frame;
+    std::string decode_error;
+    if (!wire::DecodeError(body, &error_frame, &decode_error)) {
+      return io::Status::Error("undecodable error frame: " + decode_error);
+    }
+    out->status = static_cast<int>(error_frame.status);
+  } else {
+    return io::Status::Error("server sent a request frame");
+  }
+  // Restore the caller's correlator: the hop-local id must not leak
+  // through codec-passthrough relays above this client.
+  wire::PatchRequestId(&body, caller_id);
+  out->body = std::move(body);
+  out->keep_alive = true;
+  out->headers.emplace_back("Content-Type", wire::kContentType);
+  return io::Status::Ok();
+}
+
 }  // namespace
 
 PipelinedClient::PipelinedClient(const PipelinedClientOptions& options)
@@ -85,34 +109,39 @@ uint64_t PipelinedClient::generation() const {
   return generation_;
 }
 
-void PipelinedClient::FailAllLocked(const std::string& reason) {
-  for (auto& [id, pending] : pending_) {
-    if (!pending->done) {
-      pending->done = true;
-      pending->status = io::Status::Error(reason);
-    }
-  }
-  pending_.clear();
+void PipelinedClient::TakeAllLocked(
+    std::unordered_map<uint64_t, Pending>* failed) {
+  failed->swap(pending_);
   abandoned_.clear();
-  cv_.notify_all();
 }
 
-void PipelinedClient::ReaderLoop(int fd, uint64_t generation) {
+void PipelinedClient::FailAll(std::unordered_map<uint64_t, Pending>* failed,
+                              const std::string& reason) {
+  for (auto& [id, pending] : *failed) {
+    pending.done(io::Status::Error(reason), ClientResponse{});
+  }
+  failed->clear();
+}
+
+void PipelinedClient::TearDownLocked(std::unique_lock<std::mutex>& lock) {
+  std::thread old_reader = std::move(reader_);
+  const int old_fd = fd_;
+  fd_ = -1;
+  if (old_fd >= 0) ::shutdown(old_fd, SHUT_RDWR);
+  lock.unlock();
+  if (old_reader.joinable()) old_reader.join();
+  if (old_fd >= 0) {
+    std::lock_guard<std::mutex> write_lock(write_mutex_);
+    ::close(old_fd);
+  }
+  lock.lock();
+}
+
+void PipelinedClient::ReaderLoop(int fd) {
   std::string buffer;
   std::string failure;
   char chunk[16384];
-  for (;;) {
-    const fault::FaultAction read_fault =
-        fault::Probe(fault_, fault::FaultOp::kRead);
-    if (read_fault.kind == fault::FaultAction::Kind::kReset ||
-        read_fault.kind == fault::FaultAction::Kind::kBlackout) {
-      failure = "injected fault: connection reset during read";
-      break;
-    }
-    if (read_fault.kind == fault::FaultAction::Kind::kStall) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(read_fault.stall_ms));
-    }
+  while (failure.empty()) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n == 0) {
       failure = "connection closed by server";
@@ -124,214 +153,225 @@ void PipelinedClient::ReaderLoop(int fd, uint64_t generation) {
       break;
     }
     buffer.append(chunk, static_cast<size_t>(n));
-    bool fatal = false;
-    while (!fatal) {
+    // Frames are consumed by offset and the buffer compacted once per
+    // recv, so a deep pipelined read costs linear, not quadratic, copies.
+    size_t offset = 0;
+    while (failure.empty()) {
       wire::FrameView view;
       std::string error;
       const wire::ExtractResult result =
-          wire::ExtractFrame(buffer.data(), buffer.size(),
+          wire::ExtractFrame(buffer.data() + offset, buffer.size() - offset,
                              options_.max_frame_payload, &view, &error);
       if (result == wire::ExtractResult::kNeedMore) break;
       if (result == wire::ExtractResult::kError) {
         failure = "response stream corrupt: " + error;
-        fatal = true;
         break;
       }
-      std::string frame = buffer.substr(0, view.frame_bytes);
-      buffer.erase(0, view.frame_bytes);
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (generation != generation_) return;  // superseded connection
-      auto it = pending_.find(view.request_id);
-      if (it != pending_.end()) {
-        it->second->done = true;
-        it->second->frame = std::move(frame);
+      const char* frame = buffer.data() + offset;
+      offset += view.frame_bytes;
+      Pending pending;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = pending_.find(view.request_id);
+        if (it == pending_.end()) {
+          // A late answer to an abandoned exchange is dropped; an id this
+          // client never sent (or already answered) means the stream
+          // cannot be trusted to be in frame sync anymore.
+          if (abandoned_.erase(view.request_id) == 0) {
+            failure = "unexpected request_id " +
+                      std::to_string(view.request_id) + " from server";
+          }
+          continue;
+        }
+        pending = std::move(it->second);
         pending_.erase(it);
-        cv_.notify_all();
-        continue;
       }
-      if (abandoned_.erase(view.request_id) > 0) {
-        continue;  // late answer to a deadline/cancel loser: drop it
-      }
-      // An id this client never sent (or already answered): the stream
-      // cannot be trusted to be in frame sync anymore.
-      failure = "unexpected request_id " + std::to_string(view.request_id) +
-                " from server";
-      fatal = true;
+      ClientResponse response;
+      io::Status status =
+          ToResponse(std::string(frame, view.frame_bytes), pending.caller_id,
+                     &response);
+      pending.done(std::move(status), std::move(response));
     }
-    if (fatal) break;
+    buffer.erase(0, offset);
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (generation != generation_) return;
-  reader_done_ = true;
-  FailAllLocked(failure);
+  std::unordered_map<uint64_t, Pending> failed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    reader_done_ = true;
+    TakeAllLocked(&failed);
+  }
+  FailAll(&failed, failure);
 }
 
-io::Status PipelinedClient::Exchange(const std::string& frame,
-                                     const ClientRequestOptions& options,
-                                     ClientResponse* out) {
-  const bool has_deadline = options.deadline_ms > 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(options.deadline_ms);
-
-  uint64_t original_id = 0;
-  if (!wire::PeekRequestId(frame, &original_id)) {
-    return io::Status::Error("frame too short to carry a request_id");
+PipelinedClient::Started PipelinedClient::Start(const std::string& frame,
+                                                Callback done, bool may_dial) {
+  Started started;
+  uint64_t caller_id = 0;
+  if (!wire::PeekRequestId(frame, &caller_id)) {
+    started.status =
+        io::Status::Error("frame too short to carry a request_id");
+    return started;
   }
+  std::string stamped = frame;
 
-  std::shared_ptr<Pending> pending;
   uint64_t id = 0;
+  uint64_t generation = 0;
   int fd = -1;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // (Re)connect under a guard flag: the join + dial drop the lock, and
     // concurrent exchanges must neither double-connect nor race the
     // teardown of the previous reader.
-    for (;;) {
-      if (fd_ >= 0 && !reader_done_) break;
+    while (fd_ < 0 || reader_done_) {
+      if (!may_dial) {
+        started.needs_dial = true;
+        return started;
+      }
       if (connecting_) {
         cv_.wait(lock);
         continue;
       }
       connecting_ = true;
-      std::thread old_reader = std::move(reader_);
-      const int old_fd = fd_;
-      fd_ = -1;
-      if (old_fd >= 0) ::shutdown(old_fd, SHUT_RDWR);
+      TearDownLocked(lock);
       lock.unlock();
-      if (old_reader.joinable()) old_reader.join();
-      if (old_fd >= 0) ::close(old_fd);
       io::Status dial_status;
       const int fresh = Dial(options_, &dial_status);
       lock.lock();
       connecting_ = false;
+      cv_.notify_all();
       if (fresh < 0) {
-        cv_.notify_all();
-        return dial_status;
+        started.status = dial_status;
+        return started;
       }
       fd_ = fresh;
       reader_done_ = false;
       ++generation_;
-      reader_ = std::thread([this, fresh, generation = generation_] {
-        ReaderLoop(fresh, generation);
-      });
-      cv_.notify_all();
-      break;
+      reader_ = std::thread([this, fresh] { ReaderLoop(fresh); });
     }
     fd = fd_;
+    generation = generation_;
     id = next_id_++;
-    pending = std::make_shared<Pending>();
-    pending_.emplace(id, pending);
+    pending_.emplace(id, Pending{std::move(done), caller_id});
   }
 
   // Stamp the hop-local id and send the whole frame under the write
   // lock so concurrent exchanges never interleave bytes mid-frame.
-  std::string stamped = frame;
   wire::PatchRequestId(&stamped, id);
+  std::string send_error;
   {
     std::lock_guard<std::mutex> write_lock(write_mutex_);
-    const fault::FaultAction send_fault =
-        fault::Probe(fault_, fault::FaultOp::kWrite);
-    bool send_failed =
-        send_fault.kind == fault::FaultAction::Kind::kReset ||
-        send_fault.kind == fault::FaultAction::Kind::kBlackout;
-    std::string send_error =
-        send_failed ? "injected fault: connection reset during send" : "";
-    if (send_fault.kind == fault::FaultAction::Kind::kStall) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(send_fault.stall_ms));
-    }
-    size_t sent = 0;
-    while (!send_failed && sent < stamped.size()) {
-      const ssize_t n = ::send(fd, stamped.data() + sent,
-                               stamped.size() - sent, MSG_NOSIGNAL);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      send_failed = true;
-      send_error = std::string("send: ") + std::strerror(errno);
-    }
-    if (send_failed) {
-      // The socket may now hold a torn frame; nothing multiplexed on it
-      // can be trusted. Wake the reader (it fails the other pendings)
-      // and fail this exchange directly.
+    {
+      // The connection may have died (and been replaced, its fd number
+      // reused) since registration; the teardown failed this exchange
+      // already, so its callback reports that.
       std::lock_guard<std::mutex> lock(mutex_);
-      pending_.erase(id);
-      if (fd_ == fd) ::shutdown(fd_, SHUT_RDWR);
-      return io::Status::Error(send_error);
-    }
-  }
-
-  // Await the correlated completion in cancellation-granularity slices.
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!pending->done) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      pending_.erase(id);
-      abandoned_.insert(id);
-      return io::Status::Error("request cancelled");
-    }
-    int wait_ms = 20;  // cancellation granularity
-    if (has_deadline) {
-      const int remaining = RemainingMs(deadline);
-      if (remaining <= 0) {
-        pending_.erase(id);
-        abandoned_.insert(id);
-        return io::Status::Error(
-            "request deadline exceeded awaiting response");
+      if (fd_ != fd || generation_ != generation || reader_done_) {
+        started.ticket = id;
+        return started;
       }
-      wait_ms = options.cancel != nullptr ? std::min(remaining, 20) : remaining;
     }
-    cv_.wait_for(lock, std::chrono::milliseconds(wait_ms));
+    ssize_t n;
+    do {
+      n = ::send(fd, stamped.data(), stamped.size(),
+                 MSG_NOSIGNAL | MSG_DONTWAIT);
+    } while (n < 0 && errno == EINTR);
+    if (n == static_cast<ssize_t>(stamped.size())) {
+      started.ticket = id;
+      return started;
+    }
+    send_error = n < 0 ? std::string("send: ") + std::strerror(errno)
+                       : "send: wrote " + std::to_string(n) + " of " +
+                             std::to_string(stamped.size()) + " frame bytes";
   }
-  if (!pending->status.ok) return pending->status;
-  lock.unlock();
 
-  std::string body = std::move(pending->frame);
-  wire::FrameType type;
-  std::string peek_error;
-  if (!wire::PeekFrameType(body, &type, &peek_error)) {
-    return io::Status::Error("unreadable response frame: " + peek_error);
+  // The socket may now hold a torn frame; nothing multiplexed on it can
+  // be trusted. Wake the reader (it fails the other pendings) and fail
+  // this exchange directly — unless the reader got to it first, in
+  // which case its callback reports the failure.
+  Pending dropped;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fd_ == fd && generation_ == generation) ::shutdown(fd, SHUT_RDWR);
+  auto it = pending_.find(id);
+  if (it == pending_.end()) {
+    started.ticket = id;
+    return started;
   }
-  *out = ClientResponse{};
-  if (type == wire::FrameType::kSuggestResponse) {
-    out->status = 200;
-  } else if (type == wire::FrameType::kError) {
-    wire::ErrorFrame error_frame;
-    std::string decode_error;
-    if (!wire::DecodeError(body, &error_frame, &decode_error)) {
-      return io::Status::Error("undecodable error frame: " + decode_error);
+  dropped = std::move(it->second);
+  pending_.erase(it);
+  started.status = io::Status::Error(send_error);
+  return started;
+}
+
+bool PipelinedClient::Abandon(uint64_t ticket) {
+  Pending dropped;  // destroyed after the lock is released
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = pending_.find(ticket);
+  if (it == pending_.end()) return false;
+  dropped = std::move(it->second);
+  pending_.erase(it);
+  abandoned_.insert(ticket);
+  return true;
+}
+
+io::Status PipelinedClient::Exchange(const std::string& frame,
+                                     const ClientRequestOptions& options,
+                                     ClientResponse* out) {
+  if (options.cancel != nullptr &&
+      options.cancel->load(std::memory_order_relaxed)) {
+    return io::Status::Error("request cancelled");
+  }
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(options.deadline_ms);
+  struct Wait {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    io::Status status = io::Status::Ok();
+    ClientResponse response;
+  };
+  auto wait = std::make_shared<Wait>();
+  const Started started = Start(
+      frame,
+      [wait](io::Status status, ClientResponse response) {
+        std::lock_guard<std::mutex> lock(wait->mutex);
+        wait->status = std::move(status);
+        wait->response = std::move(response);
+        wait->done = true;
+        wait->cv.notify_all();
+      },
+      /*may_dial=*/true);
+  if (started.ticket == 0) return started.status;
+
+  std::unique_lock<std::mutex> lock(wait->mutex);
+  const auto answered = [&wait] { return wait->done; };
+  if (options.deadline_ms > 0 &&
+      !wait->cv.wait_until(lock, deadline, answered)) {
+    lock.unlock();
+    if (Abandon(started.ticket)) {
+      return io::Status::Error("request deadline exceeded awaiting response");
     }
-    out->status = static_cast<int>(error_frame.status);
-  } else {
-    return io::Status::Error("server sent a request frame");
+    lock.lock();  // the answer is being delivered right now
   }
-  // Restore the caller's correlator: the hop-local id must not leak
-  // through codec-passthrough relays above this client.
-  wire::PatchRequestId(&body, original_id);
-  out->body = std::move(body);
-  out->keep_alive = true;
-  out->headers.emplace_back("Content-Type", wire::kContentType);
+  wait->cv.wait(lock, answered);
+  if (!wait->status.ok) return wait->status;
+  *out = std::move(wait->response);
   return io::Status::Ok();
 }
 
 void PipelinedClient::Close() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (connecting_) cv_.wait(lock);
-  if (fd_ < 0 && !reader_.joinable()) return;
-  connecting_ = true;
-  std::thread old_reader = std::move(reader_);
-  const int old_fd = fd_;
-  fd_ = -1;
-  if (old_fd >= 0) ::shutdown(old_fd, SHUT_RDWR);
-  lock.unlock();
-  if (old_reader.joinable()) old_reader.join();
-  if (old_fd >= 0) ::close(old_fd);
-  lock.lock();
-  connecting_ = false;
-  reader_done_ = false;
-  FailAllLocked("connection closed");
+  std::unordered_map<uint64_t, Pending> failed;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (connecting_) cv_.wait(lock);
+    if (fd_ < 0 && !reader_.joinable()) return;
+    connecting_ = true;
+    TearDownLocked(lock);
+    connecting_ = false;
+    reader_done_ = false;
+    TakeAllLocked(&failed);
+    cv_.notify_all();
+  }
+  FailAll(&failed, "connection closed");
 }
 
 }  // namespace dssddi::net

@@ -1,10 +1,9 @@
 #ifndef DSSDDI_NET_PIPELINED_CLIENT_H_
 #define DSSDDI_NET_PIPELINED_CLIENT_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -12,7 +11,6 @@
 #include <unordered_set>
 
 #include "io/binary.h"
-#include "net/fault.h"
 #include "net/http_client.h"
 
 namespace dssddi::net {
@@ -29,45 +27,78 @@ struct PipelinedClientOptions {
 };
 
 /// Multiplexed pipelined client for the raw wire-frame protocol: one
-/// connection, many concurrent callers. Each Exchange stamps a
-/// hop-local request_id onto the caller's encoded frame, sends it, and
-/// blocks until the reader thread correlates the response frame back by
-/// id — so N in-flight requests share one socket and complete out of
-/// order, replacing N one-exchange-at-a-time pooled HTTP connections.
+/// connection, many concurrent exchanges. Each exchange stamps a
+/// hop-local request_id onto the caller's encoded frame and sends it;
+/// the reader thread correlates the response frame back by id — so N
+/// in-flight requests share one socket and complete out of order,
+/// replacing N one-exchange-at-a-time pooled HTTP connections.
 ///
-/// Contract mirrors HttpClient::Request where it matters to the
-/// retry/hedge/breaker machinery above: per-request deadlines fail with
-/// a "deadline" message, cooperative cancellation (hedge losers) with
-/// "cancelled" — both leave the connection healthy, because abandoning
-/// one multiplexed request must not kill its neighbors; the late
-/// response is recognized and discarded by id. Transport errors fail
-/// every in-flight exchange and disconnect; the next Exchange
-/// reconnects automatically.
+/// Event-driven core: `Start` sends and returns at once, and the reader
+/// thread runs the exchange's callback when its answer arrives.
+/// `Abandon` gives an exchange up (a deadline or a hedge loser) without
+/// touching the connection: abandoning one multiplexed request must not
+/// kill its neighbors, so the late response is recognized by id and
+/// dropped. A transport error fails every in-flight exchange and
+/// disconnects; the next dialing `Start` reconnects.
 ///
-/// The returned ClientResponse carries the raw response (or error)
-/// frame as its body with the caller's original request_id restored —
-/// codec passthrough above (the router) relays bodies verbatim, so the
+/// The response handed back carries the raw response (or error) frame
+/// as its body with the caller's original request_id restored — codec
+/// passthrough above (the router) relays bodies verbatim, so the
 /// hop-local ids this client assigns must never leak out of it.
 class PipelinedClient {
  public:
+  /// Runs exactly once per started exchange that is not abandoned: on
+  /// the reader thread when the answer (or the connection's failure)
+  /// arrives, or on the thread calling Close. On success `response`
+  /// has status 200 for a response frame or the error frame's embedded
+  /// status, and its body is the raw frame. Must not call Close, or a
+  /// dialing Start: both may join the reader thread it runs on.
+  using Callback = std::function<void(io::Status status,
+                                      ClientResponse response)>;
+
+  struct Started {
+    /// > 0: the frame is in flight and the callback runs exactly once,
+    /// unless Abandon(ticket) returns true first.
+    uint64_t ticket = 0;
+    /// Start was told not to dial and found no live connection; nothing
+    /// was sent and the callback never runs.
+    bool needs_dial = false;
+    /// Why nothing started (ticket == 0 and !needs_dial): the frame is
+    /// malformed, the dial failed, or the send failed or wrote only
+    /// part of the frame (which also tears the connection down).
+    io::Status status = io::Status::Ok();
+  };
+
   explicit PipelinedClient(const PipelinedClientOptions& options);
   ~PipelinedClient();
 
   PipelinedClient(const PipelinedClient&) = delete;
   PipelinedClient& operator=(const PipelinedClient&) = delete;
 
-  /// One multiplexed exchange of an encoded kSuggestRequest frame.
-  /// Thread-safe. Connects lazily; `options.deadline_ms` bounds the
-  /// whole exchange (connect included) and `options.cancel` aborts it.
-  /// On success `out->status` is 200 for a response frame or the error
-  /// frame's embedded status, and `out->body` is the raw frame.
+  /// Sends one encoded kSuggestRequest frame and returns without waiting
+  /// for the answer. Thread-safe. The send never blocks
+  /// (MSG_DONTWAIT): a full socket buffer fails it like a broken socket.
+  /// With `may_dial` false Start never connects, joins or sleeps — safe
+  /// on an event loop or inside a callback; with it true a missing
+  /// connection is dialed (blocking, connect_timeout_ms).
+  Started Start(const std::string& frame, Callback done, bool may_dial);
+
+  /// Gives up a started exchange. True when its callback had not run
+  /// and now never will; false when it already ran or is running.
+  bool Abandon(uint64_t ticket);
+
+  /// Blocking exchange: Start (dialing if needed) plus a wait.
+  /// `options.deadline_ms` bounds the wait (the exchange is abandoned
+  /// with a "deadline" error when it passes); `options.cancel` is read
+  /// once, before sending — a caller that must stop an exchange
+  /// mid-flight uses Start + Abandon.
   io::Status Exchange(const std::string& frame,
                       const ClientRequestOptions& options,
                       ClientResponse* out);
 
   bool connected() const;
   /// Fails every in-flight exchange and closes the socket. Idempotent;
-  /// the next Exchange reconnects.
+  /// the next dialing Start reconnects.
   void Close();
 
   /// Requests currently awaiting their response frame (tests).
@@ -76,45 +107,48 @@ class PipelinedClient {
   /// "failed on a stale connection" from "failed on a fresh one".
   uint64_t generation() const;
 
-  /// Optional fault injector consulted on sends/receives (chaos
-  /// testing). Must outlive the client.
-  void set_fault(fault::FaultInjector* injector) { fault_ = injector; }
-
  private:
   struct Pending {
-    bool done = false;
-    io::Status status = io::Status::Ok();
-    std::string frame;  // raw response/error frame as received
+    Callback done;
+    uint64_t caller_id = 0;  // restored onto the answering frame
   };
 
-  /// Fails every in-flight exchange. Caller holds mutex_; `reason`
-  /// lands in each pending exchange's status.
-  void FailAllLocked(const std::string& reason);
-  void ReaderLoop(int fd, uint64_t generation);
+  /// Empties pending_ into `*failed` (to be failed with `reason` once
+  /// mutex_ is released) and forgets abandoned ids. Caller holds mutex_.
+  void TakeAllLocked(std::unordered_map<uint64_t, Pending>* failed);
+  static void FailAll(std::unordered_map<uint64_t, Pending>* failed,
+                      const std::string& reason);
+  /// Shuts the live socket down, joins its reader and closes the fd.
+  /// Drops and retakes `lock` (on mutex_) around the join; the caller
+  /// has set connecting_.
+  void TearDownLocked(std::unique_lock<std::mutex>& lock);
+  void ReaderLoop(int fd);
 
   PipelinedClientOptions options_;
-  fault::FaultInjector* fault_ = nullptr;
 
   mutable std::mutex mutex_;
+  /// Signals connecting_ going false.
   std::condition_variable cv_;
   int fd_ = -1;
   uint64_t generation_ = 0;
   uint64_t next_id_ = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending_;
-  /// Ids whose caller gave up (deadline/cancel): the late response is
-  /// dropped silently instead of being treated as a protocol error.
+  std::unordered_map<uint64_t, Pending> pending_;
+  /// Ids whose caller gave up: the late response is dropped silently
+  /// instead of being treated as a protocol error.
   std::unordered_set<uint64_t> abandoned_;
   std::thread reader_;
   /// Set by the reader when it exits (connection dead, pendings
-  /// failed); the next Exchange reaps it and reconnects.
+  /// failed); the next dialing Start reaps it and reconnects.
   bool reader_done_ = false;
   /// Guards the join + dial window where mutex_ is dropped, so
   /// concurrent exchanges neither double-connect nor race teardown.
   bool connecting_ = false;
 
   /// Serializes frame writes so concurrent exchanges never interleave
-  /// bytes mid-frame. Separate from mutex_: a blocked send must not
-  /// stop the reader from completing other exchanges.
+  /// bytes mid-frame, and is held while a dead connection's fd is
+  /// closed so a sender never writes to a recycled descriptor. Separate
+  /// from mutex_ so a send never stops the reader from completing
+  /// other exchanges. Order: write_mutex_ before mutex_.
   std::mutex write_mutex_;
 };
 

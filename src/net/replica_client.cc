@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/wire.h"
 
 namespace dssddi::net {
 
@@ -184,49 +183,11 @@ size_t ReplicaClient::pooled() const {
   return pool_.size();
 }
 
-io::Status ReplicaClient::ExchangePipelined(
-    const std::string& frame, const ClientRequestOptions& options,
-    ClientResponse* out, uint64_t admission) {
-  const bool was_connected = pipelined_->connected();
-  io::Status status = pipelined_->Exchange(frame, options, out);
-  if (!status.ok && was_connected &&
-      status.message.find("deadline") == std::string::npos &&
-      status.message.find("cancelled") == std::string::npos) {
-    // The shared connection may have been idle-reaped by the server
-    // between exchanges; the next Exchange redials, so redo once before
-    // charging the replica. Deadline/cancel aborts are excluded — the
-    // connection stays healthy through those and a redo would double
-    // the per-try budget.
-    status = pipelined_->Exchange(frame, options, out);
-  }
-  if (!status.ok) {
-    if (status.message.find("cancelled") != std::string::npos) {
-      breaker_.Abandon(admission);
-    } else {
-      breaker_.RecordFailure(admission);
-    }
-    return io::Status::Error(name_ + ": " + status.message);
-  }
-  if (out->status >= 500) {
-    breaker_.RecordFailure(admission);
-  } else {
-    breaker_.RecordSuccess(admission);
-  }
-  return io::Status::Ok();
-}
-
 io::Status ReplicaClient::Exchange(const std::string& method,
                                    const std::string& target,
                                    const std::string& body,
                                    const ClientRequestOptions& options,
                                    ClientResponse* out, uint64_t admission) {
-  if (pipelined_ != nullptr && method == "POST" && target == "/v1/suggest" &&
-      options.content_type == wire::kContentType) {
-    // Binary suggest traffic multiplexes onto the shared pipelined
-    // connection; everything else (JSON, admin probes) stays on the
-    // one-exchange HTTP pool.
-    return ExchangePipelined(body, options, out, admission);
-  }
   io::Status status;
   bool from_pool = false;
   std::unique_ptr<HttpClient> client = Acquire(&status, &from_pool);

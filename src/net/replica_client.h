@@ -112,18 +112,19 @@ struct ReplicaClientOptions {
   int connect_timeout_ms = 2000;
   /// Idle keep-alive connections retained for reuse.
   size_t max_pool = 4;
-  /// Route binary /v1/suggest exchanges through one shared multiplexed
-  /// PipelinedClient connection instead of the per-try HTTP pool. Off
-  /// reverts to one-exchange-per-connection (comparison benchmarks,
-  /// serial-oracle tests).
+  /// Give the replica one shared multiplexed PipelinedClient connection,
+  /// which the Router sends binary /v1/suggest tries over instead of the
+  /// per-try HTTP pool. Off reverts to one-exchange-per-connection
+  /// (comparison benchmarks, serial-oracle tests).
   bool pipelined = true;
   CircuitBreakerOptions breaker;
 };
 
-/// One replica endpoint: a keep-alive connection pool over HttpClient
-/// plus the replica's circuit breaker. Thread-safe — concurrent tries
-/// each check a connection out of the pool (or dial a fresh one), so a
-/// hedged duplicate never shares a socket with its primary.
+/// One replica endpoint: a keep-alive connection pool over HttpClient,
+/// the shared pipelined frame connection, and the replica's circuit
+/// breaker. Thread-safe — concurrent HTTP tries each check a connection
+/// out of the pool (or dial a fresh one), so a hedged duplicate never
+/// shares a socket with its primary.
 ///
 /// Outcome accounting: transport errors, timeouts, and 5xx responses
 /// count as breaker failures; any parseable response below 500
@@ -132,6 +133,8 @@ struct ReplicaClientOptions {
 /// neutral — the replica did nothing wrong, so the admission is
 /// abandoned rather than charged. Callers gate on breaker().Admit()
 /// *before* Exchange and hand the token in; Exchange always settles it.
+/// Tries over `pipelined_client()` are settled by the Router, which
+/// knows each one's fate without reading error messages.
 class ReplicaClient {
  public:
   explicit ReplicaClient(const ReplicaClientOptions& options);
@@ -139,8 +142,9 @@ class ReplicaClient {
   /// "host:port" — the `replica` label on every metric.
   const std::string& name() const { return name_; }
 
-  /// `admission` is the token breaker().Admit() issued for this try;
-  /// Exchange settles it (success / failure / abandon) in every path.
+  /// One exchange over the HTTP pool. `admission` is the token
+  /// breaker().Admit() issued for this try; Exchange settles it
+  /// (success / failure / abandon) in every path.
   io::Status Exchange(const std::string& method, const std::string& target,
                       const std::string& body,
                       const ClientRequestOptions& options,
@@ -159,9 +163,6 @@ class ReplicaClient {
  private:
   std::unique_ptr<HttpClient> Acquire(io::Status* status, bool* from_pool);
   void Release(std::unique_ptr<HttpClient> client, bool reusable);
-  io::Status ExchangePipelined(const std::string& frame,
-                               const ClientRequestOptions& options,
-                               ClientResponse* out, uint64_t admission);
 
   ReplicaClientOptions options_;
   std::string name_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <mutex>
 #include <thread>
@@ -49,12 +50,8 @@ bool IsFinalStatus(int status) { return status < 500 && status != 429; }
 uint64_t ParseModelVersion(const std::string& body,
                            const std::string& content_type) {
   if (content_type == wire::kContentType) {
-    wire::SuggestResponseFrame frame;
-    std::string error;
-    if (wire::DecodeSuggestResponse(body, &frame, &error)) {
-      return frame.model_version;
-    }
-    return 0;
+    uint64_t version = 0;
+    return wire::PeekModelVersion(body, &version) ? version : 0;
   }
   const size_t pos = body.find("\"model_version\":");
   if (pos == std::string::npos) return 0;
@@ -81,25 +78,79 @@ const char* EncodeRouterError(int status, const char* message,
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Race: shared state between an Exchange call and its in-flight tries
+// Call: one routed exchange in flight, and its tries
 // ---------------------------------------------------------------------
 
-struct Router::Race {
-  struct Outcome {
-    int slot = 0;
-    int replica = -1;
-    io::Status status;
-    ClientResponse response;
-  };
+/// One try: the request sent to one replica.
+struct Router::Try {
+  int replica = -1;
+  uint64_t admission = 0;
+  int budget_ms = 0;
+  Clock::time_point started;
+  /// Pipelined tries ride the replica's PipelinedClient and the router
+  /// settles their admission; the others run ReplicaClient::Exchange on
+  /// a pool_ thread, which settles it.
+  bool pipelined = false;
+  /// Pipelined: the try counts as failed once this passes unanswered.
+  Clock::time_point budget_at;
+  // Guarded by the call's mutex:
+  bool closed = false;
+  /// One redial-and-resend is allowed after a transport failure on a
+  /// connection that predates the try (the server may have reaped it).
+  bool may_redo = false;
+  /// PipelinedClient ticket while the answer is due; 0 before Start
+  /// returned and once the answer arrived.
+  uint64_t ticket = 0;
+  /// HttpClient's cooperative cancel flag (pooled tries); the task
+  /// holds the Try, so a loser finishing late writes into live memory.
+  std::atomic<bool> cancel{false};
+};
+
+struct Router::Call {
+  // Set by Start, read-only after:
+  std::string target;
+  std::string body;
+  std::string content_type;
+  /// A wire frame for /v1/suggest: pipelined wherever the replica has a
+  /// pipelined connection.
+  bool binary = false;
+  bool has_deadline = false;
+  Clock::time_point start;
+  Clock::time_point deadline;
+  uint64_t nonce = 0;
+  uint64_t stale_key = 0;
 
   std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<Outcome> outcomes;  // appended as tries finish
-  int launched = 0;               // guarded by mutex
-  /// Per-slot cancellation flags read by HttpClient's sliced polls.
-  /// The Race outlives every try (shared_ptr captured by the task), so
-  /// a loser finishing after Exchange returned writes into live memory.
-  std::array<std::atomic<bool>, 2> cancel{};
+  // Guarded by mutex until `finished`; the thread that set it owns them:
+  Done done;
+  RouterResult result;  // tries and hedged accumulate here
+  std::shared_ptr<Try> tries[2];  // the current attempt's primary, hedge
+  bool attempt_hedged = false;
+  bool hedge_pending = false;
+  Clock::time_point hedge_at;
+  bool backoff_pending = false;
+  Clock::time_point backoff_at;
+  std::shared_ptr<Try> winner;
+  ClientResponse winner_response;
+  /// Fallback kept from the last replica-authored non-final answer (5xx
+  /// or 429): if every try fails, the client gets that over a synthetic
+  /// 503 — it carries the replica's own diagnostics.
+  bool have_replica_answer = false;
+  ClientResponse replica_answer;
+  bool deadline_blown = false;
+  bool all_open = false;
+  bool finished = false;
+
+  // Guarded by Router::timer_mutex_:
+  bool timer_armed = false;
+  TimerQueue::iterator timer_entry;
+
+  bool AnyLive() const {
+    for (const auto& t : tries) {
+      if (t != nullptr && !t->closed) return true;
+    }
+    return false;
+  }
 };
 
 // ---------------------------------------------------------------------
@@ -259,11 +310,39 @@ Router::Router(const std::vector<ReplicaClientOptions>& replicas,
           }
         });
   }
+  timer_thread_ = std::thread([this] { TimerLoop(); });
 }
 
 Router::~Router() {
-  // Unblock any cancelled stragglers, then drain the try pool.
+  stopping_.store(true, std::memory_order_relaxed);
+  // Queued dials and pooled tries run out (each sees stopping_); no new
+  // one starts after this.
   pool_->Shutdown();
+  // Fail every try still in flight on a pipelined connection. Their
+  // calls finish without retrying, while the clients are still alive.
+  for (const auto& replica : replicas_) {
+    if (replica->pipelined_client() != nullptr) {
+      replica->pipelined_client()->Close();
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(timer_mutex_);
+    timer_stop_ = true;
+  }
+  timer_cv_.notify_all();
+  timer_thread_.join();
+  // A call left waiting on a timer (a backoff or a hedge trigger)
+  // finishes here.
+  TimerQueue left;
+  {
+    std::lock_guard<std::mutex> lock(timer_mutex_);
+    left.swap(timers_);
+    for (auto& entry : left) entry.second->timer_armed = false;
+  }
+  for (auto& entry : left) {
+    std::unique_lock<std::mutex> lock(entry.second->mutex);
+    if (!entry.second->finished) Finish(entry.second, lock);
+  }
 }
 
 int Router::AvailableReplicas() const {
@@ -324,240 +403,466 @@ void Router::RecordTryLatency(double ms) {
   }
 }
 
-void Router::LaunchTry(const std::shared_ptr<Race>& race, int slot,
-                       int replica, uint64_t admission,
-                       const std::string& target, const std::string& body,
-                       const std::string& content_type, int budget_ms) {
-  const bool submitted = pool_->Submit([this, race, slot, replica, admission,
-                                        target, body, content_type,
-                                        budget_ms] {
-    ClientRequestOptions options;
-    options.content_type = content_type;
-    options.deadline_ms = budget_ms;
-    options.cancel = &race->cancel[static_cast<size_t>(slot)];
-    Race::Outcome outcome;
-    outcome.slot = slot;
-    outcome.replica = replica;
-    const Clock::time_point start = Clock::now();
-    outcome.status =
-        replicas_[static_cast<size_t>(replica)]->Exchange(
-            "POST", target, body, options, &outcome.response, admission);
-    if (outcome.status.ok) RecordTryLatency(ElapsedMs(start));
-    std::lock_guard<std::mutex> lock(race->mutex);
-    race->outcomes.push_back(std::move(outcome));
-    race->cv.notify_all();
-  });
-  if (!submitted) {
-    // The try never ran, so Exchange will never settle the admission —
-    // release it here or a half-open probe slot leaks forever.
-    replicas_[static_cast<size_t>(replica)]->breaker().Abandon(admission);
-    Race::Outcome outcome;
-    outcome.slot = slot;
-    outcome.replica = replica;
-    outcome.status = io::Status::Error("router shutting down");
-    std::lock_guard<std::mutex> lock(race->mutex);
-    race->outcomes.push_back(std::move(outcome));
-    race->cv.notify_all();
+void Router::Start(const std::string& target, const std::string& body,
+                   const std::string& content_type, int deadline_ms,
+                   Done done) {
+  auto call = std::make_shared<Call>();
+  call->target = target;
+  call->body = body;
+  call->content_type = content_type;
+  call->binary = content_type == wire::kContentType && target == "/v1/suggest";
+  call->start = Clock::now();
+  call->has_deadline = deadline_ms > 0;
+  call->deadline =
+      call->start + std::chrono::milliseconds(call->has_deadline ? deadline_ms : 0);
+  call->nonce = request_counter_.fetch_add(1, std::memory_order_relaxed);
+  call->stale_key =
+      Mix64(io::Fnv1a64(target) ^ (io::Fnv1a64(body) * 0x9e3779b97f4a7c15ull));
+  call->done = std::move(done);
+  {
+    std::lock_guard<std::mutex> lock(budget_mutex_);
+    retry_tokens_ = std::min(options_.retry_budget_burst,
+                             retry_tokens_ + options_.retry_budget_ratio);
   }
+  std::unique_lock<std::mutex> lock(call->mutex);
+  NextAttempt(call, lock);
 }
 
 io::Status Router::Exchange(const std::string& target,
                             const std::string& body,
                             const std::string& content_type, int deadline_ms,
                             RouterResult* out) {
-  *out = RouterResult{};
-  const Clock::time_point start = Clock::now();
-  const bool has_deadline = deadline_ms > 0;
-  const Clock::time_point deadline =
-      start + std::chrono::milliseconds(has_deadline ? deadline_ms : 0);
-  const uint64_t nonce =
-      request_counter_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t stale_key =
-      Mix64(io::Fnv1a64(target) ^ (io::Fnv1a64(body) * 0x9e3779b97f4a7c15ull));
-  {
-    std::lock_guard<std::mutex> lock(budget_mutex_);
-    retry_tokens_ = std::min(options_.retry_budget_burst,
-                             retry_tokens_ + options_.retry_budget_ratio);
-  }
-
-  // Fallback kept from the last replica-authored non-final answer (5xx
-  // or 429): if every try fails, the client gets that over a synthetic
-  // 503 — it carries the replica's own diagnostics.
-  bool have_replica_answer = false;
-  ClientResponse replica_answer;
-  bool deadline_blown = false;
-  bool all_open = false;
-
-  while (out->tries < options_.max_tries) {
-    int remaining_ms = options_.per_try_timeout_ms;
-    if (has_deadline) {
-      remaining_ms = RemainingMs(deadline);
-      if (remaining_ms <= 0) {
-        deadline_blown = true;
-        break;
-      }
-    }
-    uint64_t primary_admission = 0;
-    const int primary = PickReplica(0, &primary_admission);
-    if (primary < 0) {
-      all_open = true;
-      break;
-    }
-    const int budget_ms = std::min(options_.per_try_timeout_ms, remaining_ms);
-
-    auto race = std::make_shared<Race>();
-    {
-      std::lock_guard<std::mutex> lock(race->mutex);
-      race->launched = 1;
-    }
-    LaunchTry(race, /*slot=*/0, primary, primary_admission, target, body,
-              content_type, budget_ms);
-    ++out->tries;
-
-    const bool can_hedge =
-        options_.hedging && replicas_.size() > 1 &&
-        !(options_.hedge_inhibit && options_.hedge_inhibit());
-    int hedge_at_ms = can_hedge ? HedgeDelayMs() : -1;
-    if (hedge_at_ms >= budget_ms) hedge_at_ms = -1;  // would never fire
-
-    const Clock::time_point try_start = Clock::now();
-    bool hedge_launched = false;
-    bool have_winner = false;
-    Race::Outcome winner;
-
-    std::unique_lock<std::mutex> lock(race->mutex);
-    size_t seen = 0;
-    for (;;) {
-      for (; seen < race->outcomes.size(); ++seen) {
-        const Race::Outcome& outcome = race->outcomes[seen];
-        if (outcome.status.ok && IsFinalStatus(outcome.response.status)) {
-          winner = outcome;
-          have_winner = true;
-          break;
-        }
-        if (outcome.status.ok) {
-          have_replica_answer = true;
-          replica_answer = outcome.response;
-        }
-      }
-      if (have_winner || seen >= static_cast<size_t>(race->launched)) break;
-      if (has_deadline && RemainingMs(deadline) <= 0) {
-        deadline_blown = true;
-        break;
-      }
-      if (!hedge_launched && hedge_at_ms >= 0 &&
-          ElapsedMs(try_start) >= static_cast<double>(hedge_at_ms)) {
-        lock.unlock();
-        // Budget first, admission second: an admitted half-open probe
-        // that is never launched would hold the probe slot forever.
-        int hedge_budget_ms = options_.per_try_timeout_ms;
-        if (has_deadline) {
-          hedge_budget_ms = std::min(hedge_budget_ms, RemainingMs(deadline));
-        }
-        if (hedge_budget_ms > 0) {
-          uint64_t hedge_admission = 0;
-          const int secondary =
-              PickReplica(1ull << primary, &hedge_admission);
-          if (secondary >= 0) {
-            {
-              std::lock_guard<std::mutex> relock(race->mutex);
-              race->launched = 2;
-            }
-            LaunchTry(race, /*slot=*/1, secondary, hedge_admission, target,
-                      body, content_type, hedge_budget_ms);
-            ++out->tries;
-            out->hedged = true;
-            hedge_launched = true;
-          }
-        }
-        lock.lock();
-        hedge_at_ms = -1;  // one hedge per attempt, fired or not
-        continue;
-      }
-      // Wake on completion; the 5 ms cap keeps the hedge trigger and
-      // deadline checks responsive without busy-waiting.
-      race->cv.wait_for(lock, std::chrono::milliseconds(5));
-    }
-
-    // Whatever the verdict, stop both tries; a loser aborts within one
-    // poll slice and returns its pooled connection.
-    race->cancel[0].store(true, std::memory_order_relaxed);
-    race->cancel[1].store(true, std::memory_order_relaxed);
-    lock.unlock();
-
-    if (have_winner) {
-      if (hedge_launched) {
-        (winner.slot == 1 ? hedges_won_ : hedges_lost_)->Increment();
-      }
-      out->status = winner.response.status;
-      out->body = std::move(winner.response.body);
-      const std::string* type = winner.response.FindHeader("Content-Type");
-      out->content_type = type != nullptr ? *type : content_type;
-      out->replica = winner.replica;
-      if (out->status == 200) {
-        stale_->Put(stale_key, out->body, out->content_type,
-                    ParseModelVersion(out->body, out->content_type));
-      }
-      requests_ok_->Increment();
-      return io::Status::Ok();
-    }
-    if (deadline_blown) break;
-
-    // Attempt failed. Retry only within the budget.
-    if (out->tries >= options_.max_tries) break;
-    {
-      std::lock_guard<std::mutex> budget_lock(budget_mutex_);
-      if (retry_tokens_ < 1.0) break;
-      retry_tokens_ -= 1.0;
-    }
-    retries_total_->Increment();
-    int backoff_ms =
-        BackoffMs(out->tries, options_.backoff_base_ms, options_.backoff_max_ms,
-                  options_.backoff_seed, nonce);
-    if (has_deadline) {
-      backoff_ms = std::min(backoff_ms, std::max(0, RemainingMs(deadline) - 1));
-    }
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    }
-  }
-
-  // State-only availability check for diagnostics — PickReplica would
-  // consume a half-open probe slot that no try settles.
-  if (!all_open && AvailableReplicas() == 0) all_open = true;
-
-  // No fresh answer. Degrade: stale cache first, then the best
-  // replica-authored error, then a synthesized status.
-  if (stale_->Get(stale_key, &out->body, &out->content_type)) {
-    out->stale = true;
-    out->status = 200;
-    out->replica = -1;
-    requests_stale_->Increment();
-    if (recorder_ != nullptr) {
-      recorder_->Record(obs::LogSeverity::kWarning, obs::LogReason::kStaleServe,
-                        "router", 200, 0, ElapsedMs(start), nullptr,
-                        all_open ? "all breakers open; served stale"
-                                 : "tries exhausted; served stale");
-    }
-    return io::Status::Ok();
-  }
-  if (have_replica_answer) {
-    out->status = replica_answer.status;
-    out->body = std::move(replica_answer.body);
-    const std::string* type = replica_answer.FindHeader("Content-Type");
-    out->content_type = type != nullptr ? *type : content_type;
-    requests_error_->Increment();
-    return io::Status::Ok();
-  }
-  out->status = deadline_blown ? 504 : 503;
-  const char* message = deadline_blown
-                            ? "router deadline exceeded"
-                            : (all_open ? "all replicas unavailable"
-                                        : "no replica answered");
-  out->content_type =
-      EncodeRouterError(out->status, message, content_type, &out->body);
-  requests_error_->Increment();
+  auto answer = std::make_shared<std::promise<RouterResult>>();
+  std::future<RouterResult> result = answer->get_future();
+  Start(target, body, content_type, deadline_ms,
+        [answer](RouterResult routed) { answer->set_value(std::move(routed)); });
+  *out = result.get();
   return io::Status::Ok();
+}
+
+std::shared_ptr<Router::Try> Router::NewTry(const Call& call, int replica,
+                                            uint64_t admission, int budget_ms,
+                                            Clock::time_point now) {
+  auto t = std::make_shared<Try>();
+  t->replica = replica;
+  t->admission = admission;
+  t->budget_ms = budget_ms;
+  t->started = now;
+  t->budget_at = now + std::chrono::milliseconds(budget_ms);
+  t->pipelined = call.binary &&
+                 replicas_[static_cast<size_t>(replica)]->pipelined_client() !=
+                     nullptr;
+  t->may_redo = t->pipelined;
+  return t;
+}
+
+void Router::NextAttempt(const std::shared_ptr<Call>& call,
+                         std::unique_lock<std::mutex>& lock) {
+  Call& c = *call;
+  c.tries[0].reset();
+  c.tries[1].reset();
+  c.attempt_hedged = false;
+  c.hedge_pending = false;
+  c.backoff_pending = false;
+  if (stopping_.load(std::memory_order_relaxed) ||
+      c.result.tries >= options_.max_tries) {
+    Finish(call, lock);
+    return;
+  }
+  int remaining_ms = options_.per_try_timeout_ms;
+  if (c.has_deadline) {
+    remaining_ms = RemainingMs(c.deadline);
+    if (remaining_ms <= 0) {
+      c.deadline_blown = true;
+      Finish(call, lock);
+      return;
+    }
+  }
+  uint64_t admission = 0;
+  const int primary = PickReplica(0, &admission);
+  if (primary < 0) {
+    c.all_open = true;
+    Finish(call, lock);
+    return;
+  }
+  const int budget_ms = std::min(options_.per_try_timeout_ms, remaining_ms);
+  const Clock::time_point now = Clock::now();
+  std::shared_ptr<Try> t = NewTry(c, primary, admission, budget_ms, now);
+  c.tries[0] = t;
+  ++c.result.tries;
+
+  const bool can_hedge = options_.hedging && replicas_.size() > 1 &&
+                         !(options_.hedge_inhibit && options_.hedge_inhibit());
+  const int hedge_ms = can_hedge ? HedgeDelayMs() : -1;
+  if (hedge_ms >= 0 && hedge_ms < budget_ms) {  // else it would never fire
+    c.hedge_pending = true;
+    c.hedge_at = now + std::chrono::milliseconds(hedge_ms);
+  }
+  Rearm(call);
+  lock.unlock();
+  LaunchTry(call, t);
+}
+
+void Router::AttemptFailed(const std::shared_ptr<Call>& call,
+                           std::unique_lock<std::mutex>& lock) {
+  Call& c = *call;
+  c.hedge_pending = false;  // one hedge per attempt, fired or not
+  if (stopping_.load(std::memory_order_relaxed) ||
+      c.result.tries >= options_.max_tries) {
+    Finish(call, lock);
+    return;
+  }
+  // Retry only within the budget.
+  bool spend = false;
+  {
+    std::lock_guard<std::mutex> budget_lock(budget_mutex_);
+    spend = retry_tokens_ >= 1.0;
+    if (spend) retry_tokens_ -= 1.0;
+  }
+  if (!spend) {
+    Finish(call, lock);
+    return;
+  }
+  retries_total_->Increment();
+  int backoff_ms =
+      BackoffMs(c.result.tries, options_.backoff_base_ms,
+                options_.backoff_max_ms, options_.backoff_seed, c.nonce);
+  if (c.has_deadline) {
+    backoff_ms = std::min(backoff_ms, std::max(0, RemainingMs(c.deadline) - 1));
+  }
+  if (backoff_ms <= 0) {
+    NextAttempt(call, lock);
+    return;
+  }
+  c.backoff_pending = true;
+  c.backoff_at = Clock::now() + std::chrono::milliseconds(backoff_ms);
+  Rearm(call);
+  lock.unlock();
+}
+
+void Router::Finish(const std::shared_ptr<Call>& call,
+                    std::unique_lock<std::mutex>& lock) {
+  Call& c = *call;
+  c.finished = true;
+  // Whatever the verdict, stop every try still running.
+  for (const auto& t : c.tries) {
+    if (t != nullptr && !t->closed) CloseTry(*t, Verdict::kCancelled);
+  }
+  c.hedge_pending = false;
+  c.backoff_pending = false;
+  Disarm(c);
+  lock.unlock();
+  Complete(c);
+}
+
+void Router::CloseTry(Try& t, Verdict verdict) {
+  t.closed = true;
+  ReplicaClient& replica = *replicas_[static_cast<size_t>(t.replica)];
+  if (!t.pipelined) {
+    // ReplicaClient::Exchange settles the admission; a cancelled try
+    // aborts within one poll slice and is settled as neutral.
+    if (verdict == Verdict::kCancelled) {
+      t.cancel.store(true, std::memory_order_relaxed);
+    }
+    return;
+  }
+  if (t.ticket != 0) {
+    replica.pipelined_client()->Abandon(t.ticket);
+    t.ticket = 0;
+  }
+  switch (verdict) {
+    case Verdict::kSucceeded: replica.breaker().RecordSuccess(t.admission); break;
+    case Verdict::kFailed: replica.breaker().RecordFailure(t.admission); break;
+    // A hedge loser or a request-deadline abort: the replica did
+    // nothing wrong. A burst of tight-deadline cancellations must never
+    // open breakers on a healthy cluster.
+    case Verdict::kCancelled: replica.breaker().Abandon(t.admission); break;
+  }
+}
+
+void Router::LaunchTry(const std::shared_ptr<Call>& call,
+                       const std::shared_ptr<Try>& t) {
+  if (t->pipelined) {
+    StartPipelined(call, t, /*may_dial=*/false);
+    return;
+  }
+  const bool submitted = pool_->Submit([this, call, t] {
+    ClientRequestOptions options;
+    options.content_type = call->content_type;
+    options.deadline_ms = t->budget_ms;
+    options.cancel = &t->cancel;
+    ClientResponse response;
+    const io::Status status = replicas_[static_cast<size_t>(t->replica)]->Exchange(
+        "POST", call->target, call->body, options, &response, t->admission);
+    OnTryDone(call, t, status, std::move(response));
+  });
+  if (!submitted) {
+    // The try never ran, so nothing settles its admission — release it
+    // here or a half-open probe slot leaks forever.
+    replicas_[static_cast<size_t>(t->replica)]->breaker().Abandon(t->admission);
+    OnTryDone(call, t, io::Status::Error("router shutting down"),
+              ClientResponse{});
+  }
+}
+
+void Router::StartPipelined(const std::shared_ptr<Call>& call,
+                            const std::shared_ptr<Try>& t, bool may_dial) {
+  PipelinedClient* client =
+      replicas_[static_cast<size_t>(t->replica)]->pipelined_client();
+  const PipelinedClient::Started started = client->Start(
+      call->body,
+      [this, call, t](io::Status status, ClientResponse response) {
+        OnTryDone(call, t, std::move(status), std::move(response));
+      },
+      may_dial);
+  if (started.needs_dial) {
+    {
+      std::lock_guard<std::mutex> lock(call->mutex);
+      if (t->closed) return;
+      t->may_redo = false;  // its connection will be fresh
+    }
+    DialTry(call, t);
+    return;
+  }
+  if (started.ticket == 0) {
+    OnTryDone(call, t, started.status, ClientResponse{});
+    return;
+  }
+  std::lock_guard<std::mutex> lock(call->mutex);
+  if (t->closed) {
+    // Closed while starting, when the closer had no ticket to abandon.
+    client->Abandon(started.ticket);
+    return;
+  }
+  t->ticket = started.ticket;
+}
+
+void Router::DialTry(const std::shared_ptr<Call>& call,
+                     const std::shared_ptr<Try>& t) {
+  const bool submitted = pool_->Submit([this, call, t] {
+    {
+      std::lock_guard<std::mutex> lock(call->mutex);
+      if (t->closed) return;
+    }
+    if (stopping_.load(std::memory_order_relaxed)) {
+      OnTryDone(call, t, io::Status::Error("router shutting down"),
+                ClientResponse{});
+      return;
+    }
+    StartPipelined(call, t, /*may_dial=*/true);
+  });
+  if (!submitted) {
+    OnTryDone(call, t, io::Status::Error("router shutting down"),
+              ClientResponse{});
+  }
+}
+
+void Router::OnTryDone(const std::shared_ptr<Call>& call,
+                       const std::shared_ptr<Try>& t, io::Status status,
+                       ClientResponse response) {
+  std::unique_lock<std::mutex> lock(call->mutex);
+  Call& c = *call;
+  if (t->closed) return;  // abandoned: a winner, a budget or a deadline
+  t->ticket = 0;
+  const bool stopping = stopping_.load(std::memory_order_relaxed);
+  if (!status.ok && t->may_redo && !stopping) {
+    // The shared connection may have been idle-reaped by the server
+    // between exchanges: redial and resend once before charging the
+    // replica. Never on this thread — it may be the reader that reported
+    // the failure, and a dialing Start joins that reader.
+    t->may_redo = false;
+    lock.unlock();
+    DialTry(call, t);
+    return;
+  }
+  CloseTry(*t, stopping ? Verdict::kCancelled
+               : status.ok && response.status < 500
+                   ? Verdict::kSucceeded
+                   : Verdict::kFailed);
+  if (status.ok) RecordTryLatency(ElapsedMs(t->started));
+  if (status.ok && IsFinalStatus(response.status)) {
+    c.winner = t;
+    c.winner_response = std::move(response);
+    Finish(call, lock);
+    return;
+  }
+  if (status.ok) {
+    c.have_replica_answer = true;
+    c.replica_answer = std::move(response);
+  }
+  if (c.AnyLive()) {
+    Rearm(call);  // this try's budget no longer counts
+    return;
+  }
+  AttemptFailed(call, lock);
+}
+
+void Router::OnTimer(const std::shared_ptr<Call>& call) {
+  std::unique_lock<std::mutex> lock(call->mutex);
+  Call& c = *call;
+  if (c.finished) return;
+  const Clock::time_point now = Clock::now();
+  bool expired = false;
+  for (const auto& t : c.tries) {
+    if (t != nullptr && !t->closed && t->pipelined && now >= t->budget_at) {
+      CloseTry(*t, Verdict::kFailed);  // no answer within its budget
+      expired = true;
+    }
+  }
+  if (c.has_deadline && now >= c.deadline) {
+    c.deadline_blown = true;
+    Finish(call, lock);
+    return;
+  }
+  if (expired && !c.AnyLive()) {
+    AttemptFailed(call, lock);
+    return;
+  }
+  if (c.backoff_pending && now >= c.backoff_at) {
+    NextAttempt(call, lock);
+    return;
+  }
+  std::shared_ptr<Try> hedge;
+  if (c.hedge_pending && now >= c.hedge_at) {
+    c.hedge_pending = false;  // one hedge per attempt, fired or not
+    // Budget first, admission second: an admitted half-open probe that
+    // is never launched would hold the probe slot forever.
+    int hedge_budget_ms = options_.per_try_timeout_ms;
+    if (c.has_deadline) {
+      hedge_budget_ms = std::min(hedge_budget_ms, RemainingMs(c.deadline));
+    }
+    if (hedge_budget_ms > 0) {
+      uint64_t admission = 0;
+      const int secondary = PickReplica(1ull << c.tries[0]->replica, &admission);
+      if (secondary >= 0) {
+        hedge = NewTry(c, secondary, admission, hedge_budget_ms, now);
+        c.tries[1] = hedge;
+        ++c.result.tries;
+        c.result.hedged = true;
+        c.attempt_hedged = true;
+      }
+    }
+  }
+  Rearm(call);
+  lock.unlock();
+  if (hedge != nullptr) LaunchTry(call, hedge);
+}
+
+void Router::Rearm(const std::shared_ptr<Call>& call) {
+  Call& c = *call;
+  bool any = false;
+  Clock::time_point at{};
+  const auto consider = [&](Clock::time_point when) {
+    if (!any || when < at) at = when;
+    any = true;
+  };
+  if (c.has_deadline) consider(c.deadline);
+  if (c.hedge_pending) consider(c.hedge_at);
+  if (c.backoff_pending) consider(c.backoff_at);
+  for (const auto& t : c.tries) {
+    if (t != nullptr && !t->closed && t->pipelined) consider(t->budget_at);
+  }
+  if (!any) {
+    Disarm(c);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(timer_mutex_);
+  if (c.timer_armed) {
+    if (c.timer_entry->first == at) return;
+    timers_.erase(c.timer_entry);
+  }
+  c.timer_entry = timers_.emplace(at, call);
+  c.timer_armed = true;
+  if (at < timer_wake_at_) {
+    timer_wake_at_ = at;
+    timer_cv_.notify_one();
+  }
+}
+
+void Router::Disarm(Call& call) {
+  std::lock_guard<std::mutex> lock(timer_mutex_);
+  if (!call.timer_armed) return;
+  timers_.erase(call.timer_entry);
+  call.timer_armed = false;
+}
+
+void Router::TimerLoop() {
+  std::unique_lock<std::mutex> lock(timer_mutex_);
+  while (!timer_stop_) {
+    if (timers_.empty()) {
+      timer_wake_at_ = Clock::time_point::max();
+      timer_cv_.wait(lock);
+      continue;
+    }
+    const auto first = timers_.begin();
+    if (Clock::now() < first->first) {
+      timer_wake_at_ = first->first;
+      timer_cv_.wait_until(lock, timer_wake_at_);
+      continue;
+    }
+    std::shared_ptr<Call> call = std::move(first->second);
+    call->timer_armed = false;
+    timers_.erase(first);
+    lock.unlock();
+    OnTimer(call);
+    call.reset();
+    lock.lock();
+  }
+}
+
+void Router::Complete(Call& c) {
+  RouterResult& out = c.result;
+  if (c.winner != nullptr) {
+    if (c.attempt_hedged) {
+      (c.winner == c.tries[1] ? hedges_won_ : hedges_lost_)->Increment();
+    }
+    out.status = c.winner_response.status;
+    out.body = std::move(c.winner_response.body);
+    const std::string* type = c.winner_response.FindHeader("Content-Type");
+    out.content_type = type != nullptr ? *type : c.content_type;
+    out.replica = c.winner->replica;
+    if (out.status == 200) {
+      stale_->Put(c.stale_key, out.body, out.content_type,
+                  ParseModelVersion(out.body, out.content_type));
+    }
+    requests_ok_->Increment();
+  } else {
+    // State-only availability check for diagnostics — PickReplica would
+    // consume a half-open probe slot that no try settles.
+    if (!c.all_open && AvailableReplicas() == 0) c.all_open = true;
+    // No fresh answer. Degrade: stale cache first, then the best
+    // replica-authored error, then a synthesized status.
+    if (stale_->Get(c.stale_key, &out.body, &out.content_type)) {
+      out.stale = true;
+      out.status = 200;
+      out.replica = -1;
+      requests_stale_->Increment();
+      if (recorder_ != nullptr) {
+        recorder_->Record(obs::LogSeverity::kWarning,
+                          obs::LogReason::kStaleServe, "router", 200, 0,
+                          ElapsedMs(c.start), nullptr,
+                          c.all_open ? "all breakers open; served stale"
+                                     : "tries exhausted; served stale");
+      }
+    } else if (c.have_replica_answer) {
+      out.status = c.replica_answer.status;
+      out.body = std::move(c.replica_answer.body);
+      const std::string* type = c.replica_answer.FindHeader("Content-Type");
+      out.content_type = type != nullptr ? *type : c.content_type;
+      requests_error_->Increment();
+    } else {
+      out.status = c.deadline_blown ? 504 : 503;
+      const char* message = c.deadline_blown
+                                ? "router deadline exceeded"
+                                : (c.all_open ? "all replicas unavailable"
+                                              : "no replica answered");
+      out.content_type =
+          EncodeRouterError(out.status, message, c.content_type, &out.body);
+      requests_error_->Increment();
+    }
+  }
+  Done done = std::move(c.done);
+  done(std::move(out));
 }
 
 // ---------------------------------------------------------------------
@@ -587,8 +892,6 @@ RouterFrontend::RouterFrontend(Router* router,
                                const RouterFrontendOptions& options)
     : router_(router), options_(options) {
   DSSDDI_CHECK(router_ != nullptr) << "RouterFrontend needs a router";
-  if (options_.worker_threads < 1) options_.worker_threads = 1;
-  workers_ = std::make_unique<serve::ThreadPool>(options_.worker_threads);
   obs::Registry* registry = router_->registry();
   suggest_requests_ = registry->GetCounter("dssddi_http_requests_total",
                                            "HTTP requests handled, by route",
@@ -615,7 +918,10 @@ RouterFrontend::RouterFrontend(Router* router,
       {{"route", "/v1/suggest"}});
 }
 
-RouterFrontend::~RouterFrontend() { workers_->Shutdown(); }
+RouterFrontend::~RouterFrontend() {
+  std::unique_lock<std::mutex> lock(exchanges_mutex_);
+  exchanges_cv_.wait(lock, [this] { return exchanges_ == 0; });
+}
 
 void RouterFrontend::set_replica_admin(ReplicaAdminHook hook) {
   replica_admin_ = std::move(hook);
@@ -841,18 +1147,17 @@ void RouterFrontend::HandleSuggest(const HttpRequest& request,
     deadline_ms = std::min(deadline_ms, options_.max_deadline_ms);
   }
 
-  // The router exchange blocks (tries, backoff, hedges) — never on a
-  // loop thread.
-  const bool submitted = workers_->Submit(
-      [this, writer, start, deadline_ms, body = request.body,
-       content_type = std::move(content_type)] {
-        RouterResult result;
-        router_->Exchange("/v1/suggest", body, content_type, deadline_ms,
-                          &result);
+  {
+    std::lock_guard<std::mutex> lock(exchanges_mutex_);
+    ++exchanges_;
+  }
+  router_->Start(
+      "/v1/suggest", request.body, content_type, deadline_ms,
+      [this, writer, start](RouterResult result) {
         HttpResponse response;
         response.status = result.status;
         response.body = std::move(result.body);
-        response.content_type = result.content_type;
+        response.content_type = std::move(result.content_type);
         if (result.stale) {
           response.extra_headers.emplace_back("X-Dssddi-Stale", "true");
           suggest_stale_->Increment();
@@ -863,14 +1168,9 @@ void RouterFrontend::HandleSuggest(const HttpRequest& request,
             ->Increment();
         suggest_latency_->Record(ElapsedMs(start));
         writer.Send(std::move(response));
+        std::lock_guard<std::mutex> lock(exchanges_mutex_);
+        if (--exchanges_ == 0) exchanges_cv_.notify_all();
       });
-  if (!submitted) {
-    HttpResponse response;
-    response.status = 503;
-    response.body = "{\"error\":\"router shutting down\"}";
-    suggest_5xx_->Increment();
-    writer.Send(std::move(response));
-  }
 }
 
 }  // namespace dssddi::net

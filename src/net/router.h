@@ -2,10 +2,15 @@
 #define DSSDDI_NET_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/binary.h"
@@ -53,8 +58,10 @@ struct RouterOptions {
   /// Stale-serve cache entries (successful fresh bodies, keyed by
   /// request hash; generation-keyed by the response's model version).
   size_t stale_capacity = 512;
-  /// Workers running tries (each blocking up to per-try budget). Bounds
-  /// concurrent tries, not concurrent requests.
+  /// Threads running the tries that block: JSON tries over the HTTP
+  /// pool (each up to its per-try budget) and the dials of pipelined
+  /// connections. Bounds concurrent JSON tries; binary tries over a
+  /// replica's pipelined connection never occupy one while in flight.
   int worker_threads = 8;
 };
 
@@ -83,6 +90,18 @@ struct RouterResult {
 /// Only used for idempotent work (suggest is a pure function of the
 /// request + model version), which is what makes retries and hedges
 /// safe to fire.
+///
+/// Threading: every exchange is a small state object advanced by
+/// events, never by a thread waiting on it. `Start` picks a replica and
+/// launches the first try on the calling thread (an event loop, say) and
+/// returns. A binary try is sent over the replica's PipelinedClient
+/// without blocking, and its answer is handled on that client's reader
+/// thread; a JSON try, and a binary try whose connection must first be
+/// dialed, runs on a `pool_` thread. One timer thread fires hedge
+/// triggers, per-try budgets, request deadlines and retry backoffs; it
+/// sleeps until the earliest of them, so steady traffic that finishes
+/// well inside those times does not wake it per request. `done` runs on
+/// whichever thread finished the exchange.
 class Router {
  public:
   Router(const std::vector<ReplicaClientOptions>& replicas,
@@ -94,10 +113,19 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Routes one exchange. `deadline_ms` (0 = none) bounds the whole
-  /// effort — tries, backoffs and hedges included. Returns Ok whenever
-  /// there is an answer to report, including synthesized 503s; `*out`
-  /// is always filled.
+  using Done = std::function<void(RouterResult result)>;
+
+  /// Routes one exchange without waiting for it. `deadline_ms` (0 =
+  /// none) bounds the whole effort — tries, backoffs and hedges
+  /// included. `done` runs exactly once with the answer, synthesized
+  /// 503/504s included, possibly before Start returns. Never dials or
+  /// blocks on a replica socket, so it is safe on an event loop.
+  void Start(const std::string& target, const std::string& body,
+             const std::string& content_type, int deadline_ms, Done done);
+
+  /// Start plus a wait for `done`. Returns Ok whenever there is an
+  /// answer to report, including synthesized 503s; `*out` is always
+  /// filled.
   io::Status Exchange(const std::string& target, const std::string& body,
                       const std::string& content_type, int deadline_ms,
                       RouterResult* out);
@@ -118,19 +146,57 @@ class Router {
                        uint64_t nonce);
 
  private:
-  struct Race;
+  using Clock = std::chrono::steady_clock;
+  struct Try;
+  struct Call;
   class StaleCache;
+  using TimerQueue = std::multimap<Clock::time_point, std::shared_ptr<Call>>;
+  /// How a try ended, for its breaker admission.
+  enum class Verdict { kSucceeded, kFailed, kCancelled };
 
   /// Round-robin pick of a breaker-admitted replica, skipping indices
   /// in `exclude` (bitmask). -1 when none admits; on success
   /// `*admission` holds the breaker token the eventual try must settle.
   int PickReplica(uint64_t exclude, uint64_t* admission);
-  void LaunchTry(const std::shared_ptr<Race>& race, int slot, int replica,
-                 uint64_t admission, const std::string& target,
-                 const std::string& body, const std::string& content_type,
-                 int budget_ms);
   int HedgeDelayMs();
   void RecordTryLatency(double ms);
+
+  // Each of these is called with `lock` held on the call's mutex and
+  // returns with it released: they may launch tries or finish the call.
+  void NextAttempt(const std::shared_ptr<Call>& call,
+                   std::unique_lock<std::mutex>& lock);
+  void AttemptFailed(const std::shared_ptr<Call>& call,
+                     std::unique_lock<std::mutex>& lock);
+  void Finish(const std::shared_ptr<Call>& call,
+              std::unique_lock<std::mutex>& lock);
+
+  // Called with the call's mutex held.
+  std::shared_ptr<Try> NewTry(const Call& call, int replica,
+                              uint64_t admission, int budget_ms,
+                              Clock::time_point now);
+  /// Settles a try exactly once: the breaker admission of a pipelined
+  /// try (and its ticket, when the answer is still due), or the cancel
+  /// flag of a pooled one (ReplicaClient::Exchange settles those).
+  void CloseTry(Try& t, Verdict verdict);
+  /// Points the call's timer entry at its earliest pending time.
+  void Rearm(const std::shared_ptr<Call>& call);
+  void Disarm(Call& call);
+
+  // Called with no lock held.
+  void LaunchTry(const std::shared_ptr<Call>& call,
+                 const std::shared_ptr<Try>& t);
+  void StartPipelined(const std::shared_ptr<Call>& call,
+                      const std::shared_ptr<Try>& t, bool may_dial);
+  /// Runs StartPipelined(may_dial = true) on a pool_ thread.
+  void DialTry(const std::shared_ptr<Call>& call,
+               const std::shared_ptr<Try>& t);
+  void OnTryDone(const std::shared_ptr<Call>& call,
+                 const std::shared_ptr<Try>& t, io::Status status,
+                 ClientResponse response);
+  void OnTimer(const std::shared_ptr<Call>& call);
+  /// Builds the finished call's result and runs its `done`.
+  void Complete(Call& call);
+  void TimerLoop();
 
   RouterOptions options_;
   std::vector<std::unique_ptr<ReplicaClient>> replicas_;
@@ -138,6 +204,16 @@ class Router {
   std::shared_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<serve::ThreadPool> pool_;
   std::unique_ptr<StaleCache> stale_;
+  /// Set first in the destructor: no try starts after it.
+  std::atomic<bool> stopping_{false};
+
+  std::mutex timer_mutex_;
+  std::condition_variable timer_cv_;
+  TimerQueue timers_;  // guarded by timer_mutex_, as is each Call's entry
+  /// What the timer thread sleeps until; an earlier entry notifies it.
+  Clock::time_point timer_wake_at_ = Clock::time_point::max();
+  bool timer_stop_ = false;
+  std::thread timer_thread_;
 
   std::atomic<uint64_t> rr_{0};
   std::atomic<uint64_t> request_counter_{0};
@@ -169,11 +245,12 @@ struct RouterFrontendOptions {
   int default_deadline_ms = 1000;
   /// Ceiling clamped onto client-supplied deadlines; 0 = none.
   int max_deadline_ms = 10000;
-  /// Workers running (blocking) router exchanges off the loop threads.
-  int worker_threads = 8;
 };
 
 /// HTTP face of the Router — what `examples/replica_cluster` serves.
+/// A /v1/suggest request is started on the loop thread that parsed it
+/// (Router::Start) and answered from whichever thread finishes the
+/// exchange (ResponseWriter::Send); no thread waits on it in between.
 /// Routes:
 ///
 ///   POST /v1/suggest   proxied through the Router (JSON or binary;
@@ -231,7 +308,6 @@ class RouterFrontend {
   Router* router_;
   RouterFrontendOptions options_;
   const HttpServer* http_ = nullptr;
-  std::unique_ptr<serve::ThreadPool> workers_;
   ReplicaAdminHook replica_admin_;
   FaultInstallHook fault_install_;
   FaultDescribeHook fault_describe_;
@@ -243,6 +319,12 @@ class RouterFrontend {
   obs::Counter* suggest_5xx_;
   obs::Counter* suggest_stale_;
   obs::Histogram* suggest_latency_;
+
+  /// Exchanges started and not yet answered; the destructor waits for
+  /// zero, because their completions touch this frontend's counters.
+  std::mutex exchanges_mutex_;
+  std::condition_variable exchanges_cv_;
+  int exchanges_ = 0;
 };
 
 }  // namespace dssddi::net

@@ -221,6 +221,25 @@ bool LooksLikeFramePrefix(const char* data, size_t size) {
   return true;
 }
 
+bool PeekModelVersion(const std::string& buffer, uint64_t* out) {
+  FrameType type;
+  if (!PeekFrameType(buffer, &type, nullptr) ||
+      type != FrameType::kSuggestResponse) {
+    return false;
+  }
+  Reader payload(buffer.data() + kHeaderBytes, buffer.size() - kHeaderBytes);
+  uint64_t model_version = 0;
+  uint64_t trace_id = 0;
+  uint32_t count = 0;
+  if (!payload.U64(&model_version) || !payload.U64(&trace_id) ||
+      !payload.U32(&count) ||
+      payload.remaining() != static_cast<size_t>(count) * 8) {
+    return false;
+  }
+  *out = model_version;
+  return true;
+}
+
 bool PeekRequestId(const std::string& buffer, uint64_t* out) {
   if (buffer.size() < kRequestIdOffset + 8) return false;
   *out = LoadU64(buffer.data() + kRequestIdOffset);

@@ -149,6 +149,11 @@ bool DecodeError(const std::string& buffer, ErrorFrame* out,
 bool PeekFrameType(const std::string& buffer, FrameType* out,
                    std::string* error);
 
+/// Reads the model_version of an encoded kSuggestResponse frame in place,
+/// without decoding its drug and score arrays. True exactly when
+/// DecodeSuggestResponse would accept the frame.
+bool PeekModelVersion(const std::string& buffer, uint64_t* out);
+
 // -------------------------------------------------------------------
 // Pipelined stream parsing
 // -------------------------------------------------------------------

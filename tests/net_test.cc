@@ -27,6 +27,7 @@
 #include "gtest/gtest.h"
 #include "io/bundle_v3.h"
 #include "io/inference_bundle.h"
+#include "net/event_loop.h"
 #include "net/http.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -550,6 +551,112 @@ TEST(WireTest, CorruptFrameSweepRejectsEveryMutation) {
   }
   EXPECT_FALSE(
       wire::DecodeSuggestResponse(good_response + "y", &response_out, &error));
+}
+
+// The router reads the model version of every 200 it stores in its
+// stale cache; reading it in place must agree with the full decoder on
+// which frames are valid and on the value.
+TEST(WireTest, PeekModelVersionAgreesWithDecodeSuggestResponse) {
+  std::vector<std::string> frames;
+  for (const uint64_t version : {0ull, 1ull, 7ull, 0x0123456789abcdefull,
+                                 ~0ull}) {
+    for (const size_t count : {0u, 1u, 3u, 86u}) {
+      wire::SuggestResponseFrame response;
+      response.model_version = version;
+      response.trace_id = version ^ 0x5555;
+      response.request_id = count;
+      for (size_t i = 0; i < count; ++i) {
+        response.drugs.push_back(static_cast<int32_t>(i * 7));
+        response.scores.push_back(0.5f / static_cast<float>(i + 1));
+      }
+      frames.push_back(wire::EncodeSuggestResponse(response));
+    }
+  }
+  const std::string good = frames[2];  // version 0, count 3
+  // Every strict prefix, trailing bytes, a count that disagrees with the
+  // arrays, a lying length prefix, and other frame types.
+  for (size_t n = 0; n < good.size(); ++n) frames.push_back(good.substr(0, n));
+  frames.push_back(good + "z");
+  for (const char count_byte : {'\x02', '\x04', '\x7f'}) {
+    std::string bad = good;
+    bad[wire::kHeaderBytes + 16] = count_byte;
+    frames.push_back(bad);
+  }
+  std::string lying = good;
+  lying[4] = static_cast<char>(lying[4] + 1);
+  frames.push_back(lying);
+  frames.push_back(wire::EncodeError({503, "unavailable"}));
+  wire::SuggestRequestFrame request;
+  request.features = {1.0f, 2.0f};
+  frames.push_back(wire::EncodeSuggestRequest(request));
+
+  size_t accepted = 0;
+  for (const std::string& frame : frames) {
+    wire::SuggestResponseFrame decoded;
+    std::string error;
+    const bool decodes = wire::DecodeSuggestResponse(frame, &decoded, &error);
+    uint64_t peeked = 0xdeadbeef;
+    const bool peeks = wire::PeekModelVersion(frame, &peeked);
+    ASSERT_EQ(peeks, decodes) << frame.size() << "-byte frame: " << error;
+    if (decodes) {
+      EXPECT_EQ(peeked, decoded.model_version);
+      ++accepted;
+    } else {
+      EXPECT_EQ(peeked, 0xdeadbeefu) << "a rejected frame wrote the output";
+    }
+  }
+  EXPECT_EQ(accepted, 20u);
+}
+
+// ---------------------------------------------------------------------
+// Event loop
+// ---------------------------------------------------------------------
+
+// Post writes the wakeup eventfd only when the queue turns non-empty,
+// and the loop reads the eventfd once per wakeup; neither may lose a
+// task.
+TEST(EventLoopTest, ManyPostsFromAnotherThreadAllRun) {
+  net::EventLoop loop;
+  std::thread runner([&loop] { loop.Run(); });
+  constexpr int kPosts = 20000;
+  std::atomic<int> ran{0};
+  std::thread poster([&] {
+    for (int i = 0; i < kPosts; ++i) {
+      ASSERT_TRUE(loop.Post([&ran] { ran.fetch_add(1); }));
+      if (i % 512 == 0) std::this_thread::yield();
+    }
+  });
+  poster.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ran.load() < kPosts && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(ran.load(), kPosts);
+  loop.Stop();
+  runner.join();
+}
+
+TEST(EventLoopTest, TaskPostedFromAPostedTaskStillWakesTheLoop) {
+  net::EventLoop loop;
+  std::thread runner([&loop] { loop.Run(); });
+  // Each task posts the next from inside the loop, after the queue it
+  // was taken from has been emptied: every one of those posts must wake
+  // the loop again, with no other traffic to do it.
+  constexpr int kChain = 1000;
+  std::atomic<int> ran{0};
+  std::function<void()> step = [&] {
+    if (ran.fetch_add(1) + 1 < kChain) loop.Post(step);
+  };
+  ASSERT_TRUE(loop.Post(step));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ran.load() < kChain && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(ran.load(), kChain);
+  loop.Stop();
+  runner.join();
 }
 
 // ---------------------------------------------------------------------

@@ -6,8 +6,10 @@
 // serial oracle, queued response frames coalesce into fewer write
 // syscalls than frames, the PipelinedClient multiplexes concurrent
 // exchanges over one socket with deadline/cancel abandonment that never
-// kills neighbors, and the SLO hedge kill-switch halts hedges while
-// plain retries keep working.
+// kills neighbors (and settles each started exchange exactly once under
+// Start/Abandon/Close races), the router keeps more binary tries in
+// flight than it has worker threads, and the SLO hedge kill-switch
+// halts hedges while plain retries keep working.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -18,8 +20,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <memory>
 #include <random>
 #include <string>
@@ -672,6 +677,214 @@ TEST_F(PipelineEndToEndTest, ClientReconnectsAfterServerRestart) {
   ExpectFrameMatchesOracle(response.body, 7);
   EXPECT_GT(client.generation(), old_generation);
   fs->server->Stop();
+}
+
+// Start, Abandon and Close race from many threads against a live
+// server. Every started exchange ends exactly one way: its callback runs
+// once, or Abandon returned true for it — never both, never neither. An
+// exchange that did not start never calls back.
+TEST_F(PipelineEndToEndTest, StartAbandonCloseRaceSettlesEachExchangeOnce) {
+  auto fs = StartFrameServer();
+  net::PipelinedClientOptions client_options;
+  client_options.port = fs->port();
+  net::PipelinedClient client(client_options);
+
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 400;
+  constexpr int kTotal = kThreads * kPerThread;
+  std::vector<std::atomic<int>> callbacks(kTotal);
+  std::vector<std::atomic<int>> abandons(kTotal);
+  std::vector<uint64_t> tickets(kTotal, 0);  // written by the starter only
+  std::mutex shared_mutex;
+  std::vector<std::pair<uint64_t, int>> shared;  // left for the abandoner
+  std::atomic<bool> storm_over{false};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t) + 1);
+      for (int i = 0; i < kPerThread; ++i) {
+        const int index = t * kPerThread + i;
+        const net::PipelinedClient::Started started = client.Start(
+            EncodeRequest(index % 30, static_cast<uint64_t>(index)),
+            [&callbacks, index](io::Status, net::ClientResponse) {
+              callbacks[static_cast<size_t>(index)].fetch_add(1);
+            },
+            /*may_dial=*/true);
+        tickets[static_cast<size_t>(index)] = started.ticket;
+        if (started.ticket == 0) continue;
+        switch (rng() % 3) {
+          case 0:  // abandon at once, racing the answer
+            if (client.Abandon(started.ticket)) {
+              abandons[static_cast<size_t>(index)].fetch_add(1);
+            }
+            break;
+          case 1: {  // leave it to the other thread
+            std::lock_guard<std::mutex> lock(shared_mutex);
+            shared.emplace_back(started.ticket, index);
+            break;
+          }
+          default:  // let it run
+            break;
+        }
+      }
+    });
+  }
+  std::thread abandoner([&] {
+    while (!storm_over.load()) {
+      std::vector<std::pair<uint64_t, int>> batch;
+      {
+        std::lock_guard<std::mutex> lock(shared_mutex);
+        batch.swap(shared);
+      }
+      for (const auto& [ticket, index] : batch) {
+        if (client.Abandon(ticket)) {
+          abandons[static_cast<size_t>(index)].fetch_add(1);
+        }
+        // A second Abandon of the same ticket never succeeds.
+        EXPECT_FALSE(client.Abandon(ticket));
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<int> closes{0};
+  std::thread closer([&] {
+    while (!storm_over.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      client.Close();  // fails whatever is in flight; Starts redial
+      closes.fetch_add(1);
+    }
+  });
+  for (auto& thread : threads) thread.join();
+  storm_over.store(true);
+  closer.join();
+  abandoner.join();
+  client.Close();  // fails the stragglers: every callback has run now
+  EXPECT_EQ(client.in_flight(), 0u);
+
+  int started = 0;
+  int abandoned = 0;
+  for (int i = 0; i < kTotal; ++i) {
+    const size_t at = static_cast<size_t>(i);
+    if (tickets[at] == 0) {
+      EXPECT_EQ(callbacks[at].load(), 0) << "exchange " << i
+                                         << " never started but called back";
+      continue;
+    }
+    ++started;
+    abandoned += abandons[at].load();
+    EXPECT_EQ(callbacks[at].load() + abandons[at].load(), 1)
+        << "exchange " << i << ": " << callbacks[at].load()
+        << " callbacks, " << abandons[at].load() << " successful abandons";
+  }
+  EXPECT_GT(started, kTotal / 2);
+  EXPECT_GT(abandoned, 0);
+  EXPECT_GT(closes.load(), 0);
+  EXPECT_GT(client.generation(), 1u) << "no Start redialed after a Close";
+  fs->server->Stop();
+}
+
+// Binary tries in flight are bounded by the replica's pipelined
+// connection, not by the router's worker threads: sixteen concurrent
+// binary exchanges against a replica that holds every answer 50 ms
+// (without serializing them) finish in about one hold with two workers,
+// not eight holds.
+TEST_F(PipelineEndToEndTest, BinaryTriesInFlightAreNotCappedByWorkerThreads) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kHold = std::chrono::milliseconds(50);
+  struct Held {
+    Clock::time_point due;
+    net::ResponseWriter writer;
+  };
+  std::mutex held_mutex;
+  std::condition_variable held_cv;
+  std::deque<Held> held;
+  bool stop = false;
+  std::thread releaser([&] {
+    std::unique_lock<std::mutex> lock(held_mutex);
+    while (!stop || !held.empty()) {
+      if (held.empty()) {
+        held_cv.wait(lock);
+        continue;
+      }
+      if (Clock::now() < held.front().due) {
+        held_cv.wait_until(lock, held.front().due);
+        continue;
+      }
+      net::ResponseWriter writer = held.front().writer;
+      held.pop_front();
+      lock.unlock();
+      wire::SuggestResponseFrame frame;
+      frame.model_version = 1;
+      frame.drugs = {3};
+      frame.scores = {0.5f};
+      net::HttpResponse response;
+      response.content_type = wire::kContentType;
+      response.body = wire::EncodeSuggestResponse(frame);
+      writer.Send(std::move(response));
+      lock.lock();
+    }
+  });
+  net::HttpServerOptions server_options;
+  server_options.port = 0;
+  net::HttpServer server(
+      server_options,
+      [&](const net::HttpRequest&, net::ResponseWriter writer) {
+        std::lock_guard<std::mutex> lock(held_mutex);
+        held.push_back({Clock::now() + kHold, writer});
+        held_cv.notify_all();
+      });
+  ASSERT_TRUE(server.Start().ok);
+
+  std::vector<net::ReplicaClientOptions> endpoints(1);
+  endpoints[0].port = server.port();
+  net::RouterOptions router_options;
+  router_options.worker_threads = 2;
+  router_options.per_try_timeout_ms = 5000;
+  auto registry = std::make_shared<obs::Registry>();
+  {
+    net::Router router(endpoints, router_options, registry, nullptr);
+    net::RouterResult warm;
+    ASSERT_TRUE(router.Exchange("/v1/suggest", EncodeRequest(0, 1),
+                                wire::kContentType, 10000, &warm)
+                    .ok);
+    ASSERT_EQ(warm.status, 200);
+
+    constexpr int kConcurrent = 16;
+    std::vector<net::RouterResult> results(kConcurrent);
+    std::vector<std::thread> callers;
+    const Clock::time_point start = Clock::now();
+    for (int i = 0; i < kConcurrent; ++i) {
+      callers.emplace_back([&, i] {
+        router.Exchange("/v1/suggest",
+                        EncodeRequest(i % 30, static_cast<uint64_t>(100 + i)),
+                        wire::kContentType, 10000,
+                        &results[static_cast<size_t>(i)]);
+      });
+    }
+    for (auto& caller : callers) caller.join();
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    for (int i = 0; i < kConcurrent; ++i) {
+      const net::RouterResult& result = results[static_cast<size_t>(i)];
+      EXPECT_EQ(result.status, 200) << "exchange " << i;
+      EXPECT_EQ(result.tries, 1) << "exchange " << i;
+      uint64_t echoed = 0;
+      ASSERT_TRUE(wire::PeekRequestId(result.body, &echoed));
+      EXPECT_EQ(echoed, static_cast<uint64_t>(100 + i));
+    }
+    // Capped at two tries in flight this takes eight holds (400 ms).
+    EXPECT_LT(elapsed_ms, 4.0 * 50.0)
+        << "16 held exchanges took " << elapsed_ms << " ms";
+  }
+  server.Stop();
+  {
+    std::lock_guard<std::mutex> lock(held_mutex);
+    stop = true;
+    held_cv.notify_all();
+  }
+  releaser.join();
 }
 
 // ---------------------------------------------------------------------
