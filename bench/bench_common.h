@@ -58,8 +58,9 @@ inline std::string FirstLineOf(const char* command) {
 /// Adds the "provenance" object a BENCH_*.json carries, so a number is
 /// never read without where it came from: source revision ("+dirty" when
 /// tracked files differ from it; run from inside the checkout), core
-/// count, CPU model, build type, GEMM backend and the process-wide
-/// quantization mode (rows that pin their own mode say so per row).
+/// count, CPU model, build type, GEMM backend, the process-wide
+/// quantization mode (rows that pin their own mode say so per row) and
+/// the int8 microkernel this CPU dispatches to.
 inline void WriteProvenance(net::JsonWriter& json) {
   std::string sha = FirstLineOf("git rev-parse --short=12 HEAD 2>/dev/null");
   if (sha.empty()) {
@@ -84,6 +85,7 @@ inline void WriteProvenance(net::JsonWriter& json) {
       .Key("gemm_backend").String(tensor::kernels::ActiveBackendName())
       .Key("quantization").String(
           tensor::kernels::QuantModeName(tensor::kernels::ActiveQuantMode()))
+      .Key("int8_kernel").String(tensor::kernels::QGemmKernelName())
       .EndObject();
 }
 

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   json.Key("bench").String("gemm");
   json.Key("gemm_backends").BeginArray().String("reference").String("blocked")
       .EndArray();
-  json.Key("int8_kernel").String(tensor::kernels::QGemmKernelName());
+  bench::WriteProvenance(json);  // carries int8_kernel
   json.Key("budget_seconds").Double(budget_s);
   json.Key("cases").BeginArray();
 

@@ -1,7 +1,8 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
 // paths: graph algorithms (truss decomposition, CTC and Steiner queries),
 // the Medical Support explanation and its serving memo, the HTTP edge's
-// JSON codec, served scoring and top-k selection, the tensor engine
+// JSON codec, served scoring (and its int8 decoder layer alone) and
+// top-k selection, the tensor engine
 // (dense/sparse matmul, autograd round trip), K-means, TransE and one
 // training epoch of each GNN module.
 
@@ -359,6 +360,41 @@ void BM_PredictScores(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_PredictScores)->Arg(1)->Arg(4)->Arg(32);
+
+/// The served decoder's first layer for one patient: the 86 x 65 int8
+/// tile (64 interaction channels plus the treatment feature) times the
+/// packed 65 x 64 weights, bias and ReLU, on the kernel this CPU
+/// dispatches to (the label names it). Row quantization is outside the
+/// loop: this is the GEMM stage alone. Items are decoder rows.
+void BM_QGemmDecoderLayer(benchmark::State& state) {
+  constexpr int kRows = 86, kChannels = 65, kHidden = 64;
+  util::Rng rng(12);
+  const auto random = [&rng](int count, double scale) {
+    std::vector<float> values(count);
+    for (float& v : values) v = static_cast<float>(rng.Normal() * scale);
+    return values;
+  };
+  const std::vector<float> tile = random(kRows * kChannels, 1.0);
+  const std::vector<float> weight = random(kChannels * kHidden, 0.125);
+  const std::vector<float> bias = random(kHidden, 0.1);
+  tensor::kernels::QuantizedRows rows;
+  tensor::kernels::QuantizeRowsSymmetric(tile.data(), kRows, kChannels, &rows);
+  const tensor::kernels::QuantizedWeights packed =
+      tensor::kernels::QuantizeWeightsPerColumn(weight.data(), kChannels,
+                                                kHidden);
+  std::vector<float> out(static_cast<size_t>(kRows) * kHidden);
+  OnWorkerThread(state, [&](benchmark::State& st) {
+    for (auto _ : st) {
+      tensor::kernels::QGemmBiasAct(rows, packed, bias.data(), out.data(),
+                                    tensor::kernels::EpilogueActivation::kRelu);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  });
+  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetLabel(tensor::kernels::QGemmKernelName());
+}
+BENCHMARK(BM_QGemmDecoderLayer);
 
 /// The served top-10 of one 86-drug score row, cycling over 64 rows of
 /// sigmoid scores.

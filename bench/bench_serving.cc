@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Key("bench").String("serving");
   json.Key("gemm_backend").String(tensor::kernels::ActiveBackendName());
-  json.Key("int8_kernel").String(tensor::kernels::QGemmKernelName());
   json.Key("requests").Int(num_requests);
   json.Key("unique_patients").Int(unique_patients);
   json.Key("threads").Int(threads);

@@ -13,6 +13,7 @@
 #include "net/json.h"
 #include "net/wire.h"
 #include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 
 // Build identity for dssddi_build_info; CMake passes the real values,
 // these fallbacks keep non-CMake builds (and tooling) compiling.
@@ -246,6 +247,7 @@ SuggestFrontend::SuggestFrontend(serve::SuggestionService* service,
                  {{"version", DSSDDI_VERSION},
                   {"gemm_backend", tensor::kernels::ActiveBackendName()},
                   {"quantize", service_->snapshot()->quantization_name()},
+                  {"int8_kernel", tensor::kernels::QGemmKernelName()},
                   {"git_sha", DSSDDI_GIT_SHA}})
       ->Set(1.0);
 }
@@ -766,6 +768,7 @@ void SuggestFrontend::HandleStats(ResponseWriter writer) const {
       .Key("num_threads").Int(stats.num_threads)
       .Key("gemm_backend").String(stats.gemm_backend)
       .Key("quantization").String(stats.quantization)
+      .Key("int8_kernel").String(stats.int8_kernel)
       .Key("uptime_seconds").Double(stats.uptime_seconds)
       .EndObject();
   json.Key("admission").BeginObject()

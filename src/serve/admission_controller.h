@@ -34,7 +34,9 @@ namespace dssddi::serve {
 /// Either depth bound set to 0 disables that check; a request without a
 /// deadline (remaining budget = +infinity) never deadline-sheds. The
 /// controller is a pure policy object: the caller supplies the current
-/// depths, remaining budget and the observed p50, the controller answers
+/// depths, remaining budget, the observed p50 and the SLO engine's
+/// degraded bit (the service reads obs::SloEngine::degraded(), the one
+/// copy of that bit, on every arrival), the controller answers
 /// admit/shed and counts each decision in the registry's
 /// `dssddi_admission_total{decision=...}` series, since only it can tell
 /// a degraded shed from a load shed. All methods are lock-free and safe
@@ -83,7 +85,8 @@ class AdmissionController {
   /// budget left right now (+infinity when it has no deadline);
   /// `p50_service_ms` is the caller's rolling estimate (0 = unknown, in
   /// which case only already-expired requests are deadline-shed).
-  /// Counts the decision as a side effect.
+  /// `degraded` is the SLO engine's burn-rate state right now (false
+  /// without an engine). Counts the decision as a side effect.
   ///
   /// Probing: every kProbeInterval'th estimate-driven shed candidate is
   /// admitted instead. The p50 estimate is refreshed by completions, so
@@ -96,17 +99,17 @@ class AdmissionController {
                              double remaining_budget_ms,
                              double p50_service_ms,
                              RequestPriority priority =
-                                 RequestPriority::kInteractive) {
+                                 RequestPriority::kInteractive,
+                             bool degraded = false) {
     if (remaining_budget_ms <= 0.0) {
       shed_deadline_->Increment();
       return Decision::kShedDeadline;
     }
-    // Degraded mode (set by the SLO engine when a fast burn crosses its
-    // threshold): drop the low-priority class first, and demand extra
-    // deadline slack from everyone else. Both levers act before the
-    // depth bounds — degradation is about protecting the objective, not
-    // about queue capacity.
-    const bool degraded = degraded_.load(std::memory_order_relaxed);
+    // Degraded mode (the SLO engine's fast burn crossed its threshold):
+    // drop the low-priority class first, and demand extra deadline slack
+    // from everyone else. Both levers act before the depth bounds —
+    // degradation is about protecting the objective, not about queue
+    // capacity.
     if (degraded && options_.degraded_shed_batch &&
         priority == RequestPriority::kBatch) {
       shed_degraded_->Increment();
@@ -151,13 +154,6 @@ class AdmissionController {
   uint64_t deadline_shed() const { return shed_deadline_->Value(); }
   uint64_t degraded_shed() const { return shed_degraded_->Value(); }
 
-  /// Degraded-mode input, driven by the SLO engine's burn-rate state
-  /// machine (obs::SloEngine). Safe from any thread.
-  void set_degraded(bool degraded) {
-    degraded_.store(degraded, std::memory_order_relaxed);
-  }
-  bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
-
   const Options& options() const { return options_; }
   bool enabled() const {
     return options_.max_in_flight > 0 || options_.max_queue_depth > 0;
@@ -178,7 +174,6 @@ class AdmissionController {
   obs::Counter* shed_load_;
   obs::Counter* shed_deadline_;
   obs::Counter* shed_degraded_;
-  std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> probe_candidates_{0};
 };
 

@@ -12,6 +12,7 @@
 #include "obs/kernel_timing.h"
 #include "obs/trace.h"
 #include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 #include "util/logging.h"
 
 namespace dssddi::serve {
@@ -137,13 +138,11 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
       slo_options.objectives =
           obs::DefaultSuggestObjectives(options_.slo_default_p99_ms);
     }
-    // The engine closes the loop: burn-rate transitions flip the
-    // admission gate's degraded bit, so overload visible in the SLO
-    // windows tightens admission before the objective is blown for good.
-    slo_ = std::make_unique<obs::SloEngine>(
-        registry_, std::move(slo_options),
-        [this](bool degraded) { admission_.set_degraded(degraded); },
-        recorder_);
+    // The engine closes the loop: every admission reads its degraded bit
+    // (SloDegraded), so overload visible in the SLO windows tightens
+    // admission before the objective is blown for good.
+    slo_ = std::make_unique<obs::SloEngine>(registry_, std::move(slo_options),
+                                            nullptr, recorder_);
   }
 }
 
@@ -216,7 +215,7 @@ AdmissionController::Decision SuggestionService::TrySubmitAsync(
       request.context.RemainingMs(std::chrono::steady_clock::now());
   const AdmissionController::Decision decision = admission_.AdmitWithDeadline(
       InFlight(), QueueDepth(), remaining_ms, latency_.CachedP50Ms(),
-      request.context.priority);
+      request.context.priority, SloDegraded());
   admission_span.Stop();
   if (decision != AdmissionController::Decision::kAdmit) return decision;
   SubmitAsync(std::move(request), std::move(done));
@@ -553,7 +552,7 @@ ServiceStats SuggestionService::Stats() const {
   stats.shed = admission_.shed();
   stats.deadline_shed = admission_.deadline_shed();
   stats.degraded_shed = admission_.degraded_shed();
-  stats.slo_degraded = admission_.degraded();
+  stats.slo_degraded = SloDegraded();
   stats.expired = expired_->Value();
   stats.in_flight = static_cast<uint64_t>(in_flight_gauge_->Value());
   stats.queue_depth = static_cast<uint64_t>(queue_depth_gauge_->Value());
@@ -569,6 +568,7 @@ ServiceStats SuggestionService::Stats() const {
   stats.max_latency_ms = latency.max_ms;
   stats.num_threads = batcher_->num_workers();
   stats.gemm_backend = tensor::kernels::ActiveBackendName();
+  stats.int8_kernel = tensor::kernels::QGemmKernelName();
   const std::shared_ptr<const ModelSnapshot> current = snapshot();
   stats.model_version = current->version;
   stats.quantization = current->quantization_name();

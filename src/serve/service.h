@@ -90,7 +90,7 @@ struct ServiceStats {
   uint64_t shed = 0;
   uint64_t deadline_shed = 0;
   /// kBatch arrivals shed because the SLO engine held the gate degraded
-  /// (subset of `shed`), plus the gate's current degraded state.
+  /// (subset of `shed`), plus the SLO engine's current degraded bit.
   uint64_t degraded_shed = 0;
   bool slo_degraded = false;
   /// Requests dropped after admission because their deadline passed
@@ -119,6 +119,10 @@ struct ServiceStats {
   /// "int8" — snapshot-resolved, so it reports what is actually served
   /// even while the process-wide mode is being flipped.
   std::string quantization;
+  /// The int8 microkernel this process dispatches to ("int8/avx512vnni",
+  /// "int8/avx2" or "int8/scalar"), resolved once per process; it
+  /// scores only when `quantization` is "int8".
+  std::string int8_kernel;
   /// Per-layer max |w - dequant(quant(w))| across the served MLPs
   /// (patient encoder layers first, then decoder layers). Empty when
   /// serving the float path.
@@ -326,6 +330,9 @@ class SuggestionService {
   void FailInflight(const CacheKey& key, const std::exception_ptr& error);
   void RecordLatency(double millis);
   uint64_t InFlight() const;
+  /// The SLO engine's degraded bit (false without an engine): the one
+  /// copy that both admission and Stats() read.
+  bool SloDegraded() const { return slo_ != nullptr && slo_->degraded(); }
   /// Stamps the bundle-provenance gauges (load_ms, bytes mapped, model
   /// version) from a freshly installed snapshot — constructor and every
   /// successful Reload.

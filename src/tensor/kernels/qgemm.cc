@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
 #include "tensor/kernels/qgemm_internal.h"
 #include "util/logging.h"
@@ -12,15 +13,21 @@ namespace dssddi::tensor::kernels {
 
 namespace internal {
 
-// Portable reference kernel. Follows the AVX2 accumulation order
-// exactly — exact int32 group sums, zero-point correction, one fmaf per
-// group (fma is exactly specified, so libm and the hardware FMA agree),
-// column scale last — so the two implementations return identical bits.
+int LastGroupSubBlocks(int k, int k_padded) {
+  return (k + 3) / 4 - (k_padded / kQuantGroup - 1) * (kQuantGroup / 4);
+}
+
+// Portable reference kernel. Follows the SIMD kernels' accumulation
+// order exactly — exact int32 group sums, zero-point correction, one
+// fmaf per group (fma is exactly specified, so libm and the hardware FMA
+// agree), column scale last — so every implementation returns identical
+// bits. Like them it stops at the last sub-block holding a real channel.
 void QGemmScaledScalar(const unsigned char* a, const float* a_scales,
                        const signed char* w, const float* w_scales,
                        const int32_t* corrections, int m, int n, int n_padded,
-                       int k_padded, float* c) {
+                       int k, int k_padded, float* c) {
   const int num_groups = k_padded / kQuantGroup;
+  const int last_subs = LastGroupSubBlocks(k, k_padded);
   const size_t tile_bytes = static_cast<size_t>(k_padded) * kQuantColTile;
   for (int i = 0; i < m; ++i) {
     const unsigned char* a_row = a + static_cast<size_t>(i) * k_padded;
@@ -31,8 +38,9 @@ void QGemmScaledScalar(const unsigned char* a, const float* a_scales,
       const int col_in_tile = j % kQuantColTile;
       float acc = 0.0f;
       for (int g = 0; g < num_groups; ++g) {
+        const int subs = g + 1 < num_groups ? kQuantGroup / 4 : last_subs;
         int32_t sum = 0;  // exact: <= 32 * 255 * 63 < 2^24
-        for (int s = 0; s < kQuantGroup / 4; ++s) {
+        for (int s = 0; s < subs; ++s) {
           // Packed byte (sub s, col c, lane q) = w[k = 4s+q][col].
           const signed char* wb =
               tile + (static_cast<size_t>(g) * (kQuantGroup / 4) + s) * 32 +
@@ -70,29 +78,40 @@ float QuantizeGroupScalar(const float* src, unsigned char* dst) {
   return max_abs / 127.0f;
 }
 
+std::vector<CompiledKernel> CompiledKernels() {
+  std::vector<CompiledKernel> kernels = {
+      {"int8/scalar", &QGemmScaledScalar, &QuantizeGroupScalar, true}};
+#if defined(__GNUC__)
+  // Safe before main (gtest registers the per-kernel suite there).
+  __builtin_cpu_init();
+#endif
+#if defined(DSSDDI_QGEMM_AVX2_TU) && defined(__GNUC__)
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  kernels.push_back({"int8/avx2", &QGemmScaledAvx2, &QuantizeGroupAvx2, avx2});
+#if defined(DSSDDI_QGEMM_VNNI_TU)
+  // The VNNI kernel quantizes rows with the AVX2 quantizer.
+  kernels.push_back({"int8/avx512vnni", &QGemmScaledVnni, &QuantizeGroupAvx2,
+                     avx2 && __builtin_cpu_supports("avx512vnni") &&
+                         __builtin_cpu_supports("avx512vl")});
+#endif
+#endif
+  return kernels;
+}
+
 }  // namespace internal
 
 namespace {
 
-struct KernelChoice {
-  internal::QGemmKernelFn gemm;
-  internal::QuantizeGroupFn quantize_group;
-  const char* name;
-};
-
-KernelChoice ResolveKernel() {
-#if defined(DSSDDI_QGEMM_AVX2_TU) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {&internal::QGemmScaledAvx2, &internal::QuantizeGroupAvx2,
-            "int8/avx2"};
-  }
-#endif
-  return {&internal::QGemmScaledScalar, &internal::QuantizeGroupScalar,
-          "int8/scalar"};
-}
-
-const KernelChoice& Kernel() {
-  static const KernelChoice choice = ResolveKernel();
+const internal::CompiledKernel& Kernel() {
+  static const internal::CompiledKernel choice = [] {
+    const std::vector<internal::CompiledKernel> kernels =
+        internal::CompiledKernels();
+    for (auto it = kernels.rbegin(); it != kernels.rend(); ++it) {
+      if (it->supported) return *it;
+    }
+    return kernels.front();
+  }();
   return choice;
 }
 
@@ -283,7 +302,7 @@ void QGemmBiasAct(const QuantizedRows& a, const QuantizedWeights& w,
       << "qgemm contraction mismatch: " << a.k << " vs " << w.k;
   if (a.m == 0 || w.n == 0) return;
   Kernel().gemm(a.data.data(), a.scales.data(), w.packed_data(), w.scale_data(),
-                w.correction_data(), a.m, w.n, w.n_padded, a.k_padded, c);
+                w.correction_data(), a.m, w.n, w.n_padded, a.k, a.k_padded, c);
   EpilogueInPlace(c, a.m, w.n, bias, activation);
 }
 
@@ -295,7 +314,7 @@ void QGemmBiasActPortable(const QuantizedRows& a, const QuantizedWeights& w,
   if (a.m == 0 || w.n == 0) return;
   internal::QGemmScaledScalar(a.data.data(), a.scales.data(), w.packed_data(),
                               w.scale_data(), w.correction_data(), a.m,
-                              w.n, w.n_padded, a.k_padded, c);
+                              w.n, w.n_padded, a.k, a.k_padded, c);
   EpilogueInPlace(c, a.m, w.n, bias, activation);
 }
 

@@ -35,20 +35,28 @@ namespace dssddi::tensor::kernels {
 /// Saturation proof: u8 in [1, 255] times s8 in [-63, 63] gives
 /// adjacent-pair sums <= 2 * 255 * 63 = 32130, strictly inside int16;
 /// a group's int32 accumulation stays under 2^24, so the one
-/// int32->float conversion per group is exact.
+/// int32->float conversion per group is exact. (The AVX-512 VNNI
+/// kernel's vpdpbusd adds the four u8 x s8 products of a sub-block
+/// straight into int32, exact without the int16 step.)
 ///
 /// Each group accumulates exactly in int32, subtracts its zero-point
 /// correction, and is fused-multiply-added by the group's activation
 /// scale into a per-column float accumulator (the column scale
-/// multiplies last). The scalar and AVX2 kernels follow the identical
-/// order, so results are ISA-independent bits, and a row's scores never
-/// change when it is batched with other rows (activation quantization
-/// is row-local).
+/// multiplies last). The scalar, AVX2 and AVX-512 VNNI kernels follow
+/// the identical order, so results are ISA-independent bits, and a
+/// row's scores never change when it is batched with other rows
+/// (activation quantization is row-local).
+///
+/// Every kernel reads only the first ceil(k/4) 4-channel sub-blocks.
+/// The rest of the last group pairs zero weights with zero-point bytes,
+/// so its exact contribution is 0: the served decoder's 65th channel
+/// (the treatment feature) costs 1 sub-block, not 8.
 /// ---------------------------------------------------------------------
 
 /// Channels per activation-scale group AND the k-dimension padding of
 /// every packed buffer: one AVX2 vector of int8 lanes. Padded channels
-/// hold zero weight, so they contribute nothing.
+/// hold zero weight, so they contribute nothing (and the kernels skip
+/// the sub-blocks holding only padding).
 inline constexpr int kQuantKAlign = 32;
 inline constexpr int kQuantGroup = kQuantKAlign;
 /// Columns per packed weight tile (one int32 lane per column).
@@ -179,8 +187,11 @@ void QGemmBiasActPortable(const QuantizedRows& a, const QuantizedWeights& w,
                           const float* bias, float* c,
                           EpilogueActivation activation);
 
-/// "int8/avx2" or "int8/scalar" — which int8 microkernel this process
-/// dispatches to. Reported alongside GFLOP/s in bench output.
+/// "int8/avx512vnni", "int8/avx2" or "int8/scalar" — which int8
+/// microkernel this process dispatches to, resolved once from the CPU's
+/// features (VNNI needs avx512vnni + avx512vl, AVX2 needs avx2 + fma).
+/// Reported in every BENCH_*.json provenance block, on /statsz and as a
+/// dssddi_build_info label.
 const char* QGemmKernelName();
 
 /// ---------------------------------------------------------------------

@@ -15,6 +15,8 @@
 // one vector subtract, and one cvt+fma folds the group into the float
 // accumulator. That is 4 instructions per 32 MACs in the inner loop,
 // against 2 instructions per 8 MACs for the float SSE2 microkernel.
+// The last group stops after its last sub-block holding a real channel
+// (the rest pair zero weights with zero-point bytes: exactly 0).
 //
 // Saturation-free by construction: u8 in [1,255] x s8 in [-63,63] gives
 // |pair sums| <= 2 * 255 * 63 = 32130 < 2^15, and a group's int32
@@ -33,31 +35,49 @@
 namespace dssddi::tensor::kernels::internal {
 namespace {
 
+/// Exact int32 sums over the first `subs` 4-channel sub-blocks of one
+/// group, one lane per column of the tile. Full groups pass the
+/// constant 8, so their loop unrolls with a fixed trip count.
+inline __m256i GroupDot(const unsigned char* ag, const signed char* wg,
+                        int subs) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc = _mm256_setzero_si256();
+  for (int s = 0; s < subs; ++s) {
+    int32_t a4;
+    std::memcpy(&a4, ag + s * 4, sizeof(a4));
+    const __m256i ab = _mm256_set1_epi32(a4);
+    const __m256i wv = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(wg + static_cast<size_t>(s) * 32));
+    acc = _mm256_add_epi32(acc,
+                           _mm256_madd_epi16(_mm256_maddubs_epi16(ab, wv), ones));
+  }
+  return acc;
+}
+
 /// One row against one packed 8-column tile: returns the 8 per-column
 /// float sums (activation group scales applied, column scales not yet).
+/// The last group runs only its `last_subs` sub-blocks holding data.
 inline __m256 RowTile(const unsigned char* a_row, const float* row_scales,
                       const signed char* tile, const int32_t* corr_base,
-                      int n_padded, int tile_col, int num_groups) {
-  const __m256i ones = _mm256_set1_epi16(1);
+                      int n_padded, int tile_col, int num_groups,
+                      int last_subs) {
   __m256 accf = _mm256_setzero_ps();
-  for (int g = 0; g < num_groups; ++g) {
-    const signed char* wg = tile + static_cast<size_t>(g) * 8 * 32;
-    const unsigned char* ag = a_row + g * 32;
-    __m256i acc = _mm256_setzero_si256();
-    for (int s = 0; s < 8; ++s) {
-      int32_t a4;
-      std::memcpy(&a4, ag + s * 4, sizeof(a4));
-      const __m256i ab = _mm256_set1_epi32(a4);
-      const __m256i wv = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(wg + static_cast<size_t>(s) * 32));
-      acc = _mm256_add_epi32(acc,
-                             _mm256_madd_epi16(_mm256_maddubs_epi16(ab, wv), ones));
-    }
+  const auto fold = [&](int g, __m256i acc) {
     const __m256i corr = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
         corr_base + static_cast<size_t>(g) * n_padded + tile_col));
     acc = _mm256_sub_epi32(acc, corr);
     accf = _mm256_fmadd_ps(_mm256_cvtepi32_ps(acc),
                            _mm256_set1_ps(row_scales[g]), accf);
+  };
+  // The last group is peeled so the full groups' loop keeps its
+  // constant trip count.
+  int g = 0;
+  for (; g + 1 < num_groups; ++g) {
+    fold(g, GroupDot(a_row + g * 32, tile + static_cast<size_t>(g) * 8 * 32, 8));
+  }
+  if (num_groups > 0) {
+    fold(g, GroupDot(a_row + g * 32, tile + static_cast<size_t>(g) * 8 * 32,
+                     last_subs));
   }
   return accf;
 }
@@ -67,8 +87,9 @@ inline __m256 RowTile(const unsigned char* a_row, const float* row_scales,
 void QGemmScaledAvx2(const unsigned char* a, const float* a_scales,
                      const signed char* w, const float* w_scales,
                      const int32_t* corrections, int m, int n, int n_padded,
-                     int k_padded, float* c) {
+                     int k, int k_padded, float* c) {
   const int num_groups = k_padded / 32;
+  const int last_subs = LastGroupSubBlocks(k, k_padded);
   const int num_tiles = n_padded / 8;
   const size_t tile_bytes = static_cast<size_t>(k_padded) * 8;
   for (int i = 0; i < m; ++i) {
@@ -78,7 +99,7 @@ void QGemmScaledAvx2(const unsigned char* a, const float* a_scales,
     for (int t = 0; t < num_tiles; ++t) {
       const __m256 sums =
           RowTile(a_row, row_scales, w + static_cast<size_t>(t) * tile_bytes,
-                  corrections, n_padded, t * 8, num_groups);
+                  corrections, n_padded, t * 8, num_groups, last_subs);
       const __m256 scaled =
           _mm256_mul_ps(sums, _mm256_loadu_ps(w_scales + t * 8));
       const int col = t * 8;

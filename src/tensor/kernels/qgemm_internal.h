@@ -2,10 +2,13 @@
 #define DSSDDI_TENSOR_KERNELS_QGEMM_INTERNAL_H_
 
 #include <cstdint>
+#include <vector>
 
-// Shared between qgemm.cc (dispatch + scalar kernels) and qgemm_avx2.cc
+// Shared between qgemm.cc (dispatch + scalar kernels), qgemm_avx2.cc
 // (the AVX2+FMA translation unit, compiled with -mavx2 -mfma when the
-// compiler supports it; see DSSDDI_QGEMM_AVX2_TU in CMakeLists.txt).
+// compiler supports it; see DSSDDI_QGEMM_AVX2_TU in CMakeLists.txt) and
+// qgemm_vnni.cc (the AVX-512 VNNI translation unit, additionally
+// compiled with -mavx512vnni -mavx512vl; see DSSDDI_QGEMM_VNNI_TU).
 
 namespace dssddi::tensor::kernels::internal {
 
@@ -22,6 +25,12 @@ namespace dssddi::tensor::kernels::internal {
 /// as in QuantizedWeights. Padded columns (j >= n) are computed and
 /// discarded. Both packed buffers are 32-byte aligned.
 ///
+/// Padding sub-blocks are skipped: only the first ceil(k/4) 4-channel
+/// sub-blocks are read. A sub-block past that holds zero weights in
+/// every column, so its exact int32 contribution is 0 whatever the
+/// activation bytes are, and skipping it changes no bit. Full groups
+/// keep a constant 8-step inner loop; only the last group can be short.
+///
 /// Bit-identity contract shared by every implementation: per (row,
 /// column), group int32 sums accumulate exactly; each group value is
 /// converted to float (exact: |value| < 2^24) and fused-multiply-added
@@ -31,7 +40,13 @@ namespace dssddi::tensor::kernels::internal {
 using QGemmKernelFn = void (*)(const unsigned char* a, const float* a_scales,
                                const signed char* w, const float* w_scales,
                                const int32_t* corrections, int m, int n,
-                               int n_padded, int k_padded, float* c);
+                               int n_padded, int k, int k_padded, float* c);
+
+/// 4-channel sub-blocks the kernels run in the last group of a k-channel
+/// contraction: 8 when k fills it, fewer when its tail is padding.
+/// Defined out of line in qgemm.cc, so no inline code is shared with the
+/// translation units built for wider ISAs.
+int LastGroupSubBlocks(int k, int k_padded);
 
 /// Quantizes one full 32-float group: returns the symmetric scale
 /// (max_abs / 127, or 0 for an all-zero / non-finite-max group, with
@@ -49,7 +64,7 @@ using QuantizeGroupFn = float (*)(const float* src, unsigned char* dst);
 void QGemmScaledScalar(const unsigned char* a, const float* a_scales,
                        const signed char* w, const float* w_scales,
                        const int32_t* corrections, int m, int n, int n_padded,
-                       int k_padded, float* c);
+                       int k, int k_padded, float* c);
 float QuantizeGroupScalar(const float* src, unsigned char* dst);
 
 #if defined(DSSDDI_QGEMM_AVX2_TU)
@@ -59,9 +74,34 @@ float QuantizeGroupScalar(const float* src, unsigned char* dst);
 void QGemmScaledAvx2(const unsigned char* a, const float* a_scales,
                      const signed char* w, const float* w_scales,
                      const int32_t* corrections, int m, int n, int n_padded,
-                     int k_padded, float* c);
+                     int k, int k_padded, float* c);
 float QuantizeGroupAvx2(const float* src, unsigned char* dst);
 #endif
+
+#if defined(DSSDDI_QGEMM_VNNI_TU)
+/// Defined in qgemm_vnni.cc (vpdpbusd on 256-bit vectors). Only callable
+/// after a runtime check for avx512vnni + avx512vl (and avx2 + fma,
+/// which its row quantizer, QuantizeGroupAvx2, needs). Bit-identical to
+/// the scalar kernel by the contract above.
+void QGemmScaledVnni(const unsigned char* a, const float* a_scales,
+                     const signed char* w, const float* w_scales,
+                     const int32_t* corrections, int m, int n, int n_padded,
+                     int k, int k_padded, float* c);
+#endif
+
+/// One int8 kernel built into this library.
+struct CompiledKernel {
+  const char* name;  // "int8/scalar", "int8/avx2", "int8/avx512vnni"
+  QGemmKernelFn gemm;
+  QuantizeGroupFn quantize_group;
+  bool supported;  // this CPU can run it
+};
+
+/// Every int8 kernel compiled in, the portable one first and the most
+/// preferred last; dispatch picks the last supported one. Exposed so
+/// the tests can hold each kernel, not only the dispatched one, to the
+/// bit-identity contract.
+std::vector<CompiledKernel> CompiledKernels();
 
 }  // namespace dssddi::tensor::kernels::internal
 

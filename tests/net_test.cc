@@ -36,6 +36,7 @@
 #include "net/wire.h"
 #include "serve/service.h"
 #include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 #include "test_support.h"
 #include "util/rng.h"
 #include "worker_gate.h"
@@ -988,6 +989,9 @@ TEST_F(NetEndToEndTest, HealthStatsRoutingAndErrors) {
   ASSERT_NE(stats.Find("service")->Find("gemm_backend"), nullptr);
   EXPECT_EQ(stats.Find("service")->Find("gemm_backend")->AsString(),
             tensor::kernels::ActiveBackendName());
+  ASSERT_NE(stats.Find("service")->Find("int8_kernel"), nullptr);
+  EXPECT_EQ(stats.Find("service")->Find("int8_kernel")->AsString(),
+            tensor::kernels::QGemmKernelName());
   ASSERT_NE(stats.Find("http"), nullptr);
   EXPECT_GE(stats.Find("http")->Find("accepted")->AsInt(), 1);
 

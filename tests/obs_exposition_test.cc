@@ -44,6 +44,7 @@
 #include "obs/trace.h"
 #include "serve/service.h"
 #include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 #include "test_support.h"
 #include "worker_gate.h"
 
@@ -1418,12 +1419,14 @@ TEST_F(ObsEndToEndTest, BuildInfoGaugeCarriesRuntimeIdentity) {
   }
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->value, 1.0);
-  for (const char* key : {"version", "gemm_backend", "quantize", "git_sha"}) {
+  for (const char* key :
+       {"version", "gemm_backend", "quantize", "int8_kernel", "git_sha"}) {
     ASSERT_EQ(info->labels.count(key), 1u) << key;
     EXPECT_FALSE(info->labels.at(key).empty()) << key;
   }
   EXPECT_EQ(info->labels.at("gemm_backend"),
             tensor::kernels::ActiveBackendName());
+  EXPECT_EQ(info->labels.at("int8_kernel"), tensor::kernels::QGemmKernelName());
 
   server.Stop();
 }

@@ -35,6 +35,7 @@
 #include "serve/suggestion_cache.h"
 #include "serve/thread_pool.h"
 #include "tensor/kernels/gemm_backend.h"
+#include "tensor/kernels/qgemm.h"
 #include "test_support.h"
 #include "util/rng.h"
 #include "worker_gate.h"
@@ -765,6 +766,7 @@ TEST_F(SuggestionServiceTest, MatchesDirectSuggestForEveryTestPatient) {
   EXPECT_EQ(stats.gemm_backend,
             tensor::kernels::ActiveBackendName());
   EXPECT_FALSE(stats.gemm_backend.empty());
+  EXPECT_EQ(stats.int8_kernel, tensor::kernels::QGemmKernelName());
 }
 
 TEST_F(SuggestionServiceTest, RepeatQueriesAreServedFromCache) {
@@ -1100,19 +1102,21 @@ TEST(AdmissionControllerTest, DegradedModeShedsBatchAndTightensHeadroom) {
   EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 30.0, 10.0, Priority::kInteractive),
             Decision::kAdmit);
 
-  gate.set_degraded(true);
-  EXPECT_TRUE(gate.degraded());
+  // The service passes the SLO engine's degraded bit on every arrival.
+  constexpr bool kDegraded = true;
   // Batch arrivals are shed outright (429), even with infinite budget
   // and empty queues — graceful degradation drops the class that asked
   // to be dropped first.
-  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch),
+  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch, kDegraded),
             Decision::kShedLoad);
   // Interactive arrivals must show the multiplied headroom: the default
   // 1.0 x 2.0 means a 15 ms budget over a 10 ms p50 — fine when healthy
   // (see above with 30) — now sheds, while 25 ms still clears.
-  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 15.0, 10.0, Priority::kInteractive),
+  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 15.0, 10.0, Priority::kInteractive,
+                                   kDegraded),
             Decision::kShedDeadline);
-  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 25.0, 10.0, Priority::kInteractive),
+  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 25.0, 10.0, Priority::kInteractive,
+                                   kDegraded),
             Decision::kAdmit);
 
   // Degraded sheds count in both `degraded_shed` and `shed`: /metricsz
@@ -1123,10 +1127,11 @@ TEST(AdmissionControllerTest, DegradedModeShedsBatchAndTightensHeadroom) {
   EXPECT_EQ(gate.degraded_shed(), 1u);
 
   // Exit restores both classes.
-  gate.set_degraded(false);
-  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch),
+  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch,
+                                   !kDegraded),
             Decision::kAdmit);
-  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 15.0, 10.0, Priority::kInteractive),
+  EXPECT_EQ(gate.AdmitWithDeadline(0, 0, 15.0, 10.0, Priority::kInteractive,
+                                   !kDegraded),
             Decision::kAdmit);
 
   // Opting out of the batch shed leaves only the headroom lever.
@@ -1134,8 +1139,8 @@ TEST(AdmissionControllerTest, DegradedModeShedsBatchAndTightensHeadroom) {
   keep_batch.degraded_shed_batch = false;
   obs::Registry no_shed_registry;
   serve::AdmissionController no_shed_gate(no_shed_registry, keep_batch);
-  no_shed_gate.set_degraded(true);
-  EXPECT_EQ(no_shed_gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch),
+  EXPECT_EQ(no_shed_gate.AdmitWithDeadline(0, 0, kInf, 0.0, Priority::kBatch,
+                                           kDegraded),
             Decision::kAdmit);
 }
 

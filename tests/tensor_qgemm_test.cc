@@ -1,17 +1,23 @@
 // Quantization numerics: per-column round-trip error bounds, the int8
 // GEMM against the float reference oracle (including edge shapes, zero
-// columns and saturating inputs), ISA-independence of the kernel bits,
+// columns and saturating inputs), ISA-independence of the kernel bits
+// (every compiled kernel, not only the dispatched one),
 // determinism of the quantizer, and the fused dequantize+bias+activation
 // epilogue.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "tensor/aligned.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "tensor/kernels/qgemm.h"
+#include "tensor/kernels/qgemm_internal.h"
 #include "tensor/matrix.h"
 #include "util/rng.h"
 
@@ -168,14 +174,18 @@ TEST(QGemmBiasActTest, MatchesTheGroupOracleTightly) {
   // Against the double-precision oracle over the same quantized
   // operands, only the kernel's fixed-order float combination of group
   // partial sums remains — a few ulps, bounded well below 1e-4 relative
-  // for these magnitudes.
+  // for these magnitudes. The oracle reads every channel, so it also
+  // checks the kernels' padding sub-block skip (k = 65, 67, 70).
   util::Rng rng(23);
   for (const auto [m, k, n] : {std::tuple<int, int, int>{1, 1, 1},
                                {1, 65, 1},
                                {3, 31, 5},
                                {4, 32, 4},
                                {7, 96, 9},
-                               {16, 64, 33}}) {
+                               {16, 64, 33},
+                               {2, 67, 9},
+                               {5, 70, 40},
+                               {86, 65, 64}}) {
     const Matrix a = RandomMatrix(m, k, rng, 1.7);
     const Matrix w = RandomMatrix(k, n, rng, 0.8);
     const Matrix bias = RandomMatrix(1, n, rng, 0.5);
@@ -199,20 +209,30 @@ TEST(QGemmBiasActTest, MatchesTheGroupOracleTightly) {
   }
 }
 
-TEST(QGemmBiasActTest, DispatchAndPortableKernelsAgreeBitForBit) {
-  // Whatever kernel the process dispatches to (AVX2 here, scalar on old
-  // hosts), the bits must match the portable reference: the
-  // accumulation-order contract in qgemm_internal.h is the guarantee
-  // that a bundle scores identically on every machine.
-  util::Rng rng(41);
-  std::vector<std::tuple<int, int, int>> shapes = {{2752, 65, 64}, {5, 96, 7}, {1, 33, 1}};
-  // One patient's decoder tile is 86 rows; sweep the contraction across
-  // group boundaries (1 channel to three groups plus one) and the
-  // columns across the 8-wide tile edge.
-  for (const int k : {1, 4, 31, 32, 33, 71, 97}) {
-    for (const int n : {1, 8, 9, 64}) shapes.emplace_back(86, k, n);
+/// The bit-identity sweep: one patient's decoder tile is 86 rows, m = 1
+/// is a single served row; the contraction crosses group boundaries (1
+/// channel to three groups plus one) and 64..67 pins the padding
+/// sub-block skip (a 65th channel alone in its group: 1 of 8 sub-blocks
+/// holds data); the columns cross the 8-wide tile edge and the 4-tile
+/// block of the VNNI kernel.
+std::vector<std::tuple<int, int, int>> BitIdentityShapes() {
+  std::vector<std::tuple<int, int, int>> shapes = {
+      {2752, 65, 64}, {5, 96, 7}, {1, 33, 1}, {7, 65, 72}, {3, 68, 40}};
+  for (const int m : {1, 86}) {
+    for (const int k : {1, 4, 31, 32, 33, 64, 65, 66, 67, 71, 97}) {
+      for (const int n : {1, 8, 9, 64}) shapes.emplace_back(m, k, n);
+    }
   }
-  for (const auto& [m, k, n] : shapes) {
+  return shapes;
+}
+
+TEST(QGemmBiasActTest, DispatchAndPortableKernelsAgreeBitForBit) {
+  // Whatever kernel the process dispatches to, the bits must match the
+  // portable reference: the accumulation-order contract in
+  // qgemm_internal.h is the guarantee that a bundle scores identically
+  // on every machine.
+  util::Rng rng(41);
+  for (const auto& [m, k, n] : BitIdentityShapes()) {
     const Matrix a = RandomMatrix(m, k, rng, 2.0);
     const Matrix w = RandomMatrix(k, n, rng, 0.7);
     const Matrix bias = RandomMatrix(1, n, rng);
@@ -228,6 +248,61 @@ TEST(QGemmBiasActTest, DispatchAndPortableKernelsAgreeBitForBit) {
         << m << "x" << k << "x" << n << " via " << QGemmKernelName();
   }
 }
+
+/// Every int8 kernel compiled into the library, not only the one this
+/// host dispatches to, against the portable kernel: a host with AVX-512
+/// VNNI would otherwise never run the AVX2 kernel under test.
+class QGemmKernelTest
+    : public ::testing::TestWithParam<internal::CompiledKernel> {};
+
+TEST_P(QGemmKernelTest, MatchesThePortableKernelBitForBit) {
+  const internal::CompiledKernel& kernel = GetParam();
+  if (!kernel.supported) GTEST_SKIP() << "this CPU cannot run " << kernel.name;
+  util::Rng rng(43);
+  for (const auto& [m, k, n] : BitIdentityShapes()) {
+    const Matrix a = RandomMatrix(m, k, rng, 2.0);
+    const Matrix w = RandomMatrix(k, n, rng, 0.7);
+    QuantizedRows qa;
+    QuantizeRowsSymmetric(a.data().data(), m, k, &qa);
+    const QuantizedWeights qw = QuantizeWeightsPerColumn(w.data().data(), k, n);
+    Matrix actual(m, n, -1.0f), portable(m, n, -2.0f);
+    kernel.gemm(qa.data.data(), qa.scales.data(), qw.packed_data(),
+                qw.scale_data(), qw.correction_data(), m, n, qw.n_padded, k,
+                qa.k_padded, actual.data().data());
+    internal::QGemmScaledScalar(qa.data.data(), qa.scales.data(),
+                                qw.packed_data(), qw.scale_data(),
+                                qw.correction_data(), m, n, qw.n_padded, k,
+                                qa.k_padded, portable.data().data());
+    ASSERT_EQ(actual.data(), portable.data())
+        << m << "x" << k << "x" << n << " via " << kernel.name;
+  }
+}
+
+TEST_P(QGemmKernelTest, QuantizesGroupsLikeThePortableQuantizer) {
+  const internal::CompiledKernel& kernel = GetParam();
+  if (!kernel.supported) GTEST_SKIP() << "this CPU cannot run " << kernel.name;
+  util::Rng rng(47);
+  for (int trial = 0; trial < 200; ++trial) {
+    float src[kQuantGroup];
+    for (float& v : src) v = static_cast<float>(rng.Normal(0.0, 3.0));
+    if (trial % 10 == 0) std::fill(src, src + kQuantGroup, 0.0f);
+    unsigned char actual[kQuantGroup], portable[kQuantGroup];
+    const float actual_scale = kernel.quantize_group(src, actual);
+    const float portable_scale = internal::QuantizeGroupScalar(src, portable);
+    ASSERT_EQ(actual_scale, portable_scale) << kernel.name << " trial " << trial;
+    ASSERT_EQ(0, std::memcmp(actual, portable, sizeof(actual)))
+        << kernel.name << " trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CompiledKernels, QGemmKernelTest,
+    ::testing::ValuesIn(internal::CompiledKernels()),
+    [](const ::testing::TestParamInfo<internal::CompiledKernel>& info) {
+      // "int8/avx512vnni" -> "avx512vnni"
+      const std::string name = info.param.name;
+      return name.substr(name.find('/') + 1);
+    });
 
 TEST(QGemmBiasActTest, TracksTheFloatOracleWithinAnalyticBound) {
   // End-to-end quantized layer vs the float reference GemmBiasAct. The
@@ -311,7 +386,9 @@ TEST(QGemmTest, AlignedBuffersAndKernelNameAreReported) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(qa.data.data()) % kTensorAlignment, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(qw.data.data()) % kTensorAlignment, 0u);
   const std::string name = QGemmKernelName();
-  EXPECT_TRUE(name == "int8/avx2" || name == "int8/scalar") << name;
+  EXPECT_TRUE(name == "int8/avx512vnni" || name == "int8/avx2" ||
+              name == "int8/scalar")
+      << name;
 }
 
 TEST(QuantModeTest, RegistryParsesAndPins) {
