@@ -82,7 +82,8 @@ std::vector<CompiledKernel> CompiledKernels() {
   std::vector<CompiledKernel> kernels = {
       {"int8/scalar", &QGemmScaledScalar, &QuantizeGroupScalar, true}};
 #if defined(__GNUC__)
-  // Safe before main (gtest registers the per-kernel suite there).
+  // __builtin_cpu_supports needs this when called during static
+  // initialization, before the runtime has set the feature bits up.
   __builtin_cpu_init();
 #endif
 #if defined(DSSDDI_QGEMM_AVX2_TU) && defined(__GNUC__)
