@@ -98,9 +98,7 @@ int main(int argc, char** argv) {
   serve::SuggestionService service(std::move(bundle), service_options);
 
   net::SuggestFrontendOptions frontend_options;
-  if (deadline_ms > 0) {
-    frontend_options.route_budgets.push_back({"/v1/suggest", deadline_ms});
-  }
+  if (deadline_ms > 0) frontend_options.suggest_budget_ms = deadline_ms;
   net::SuggestFrontend frontend(&service, frontend_options);
   net::HttpServerOptions server_options;
   server_options.host = host;

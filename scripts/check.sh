@@ -85,6 +85,44 @@ lint_metric_names() {
 echo "== metric-naming lint (src/) =="
 lint_metric_names
 
+# Unset-option lint: every field of a `struct *Options` / `struct
+# Options` in the serving headers (src/net, src/serve, src/obs) must be
+# assigned (`.f =`, `.f{`) or reached into (`.f.`) by some file outside
+# the struct's own .h/.cc. A field nobody sets is a constant with extra
+# configurations to test; make it one in the .cc that reads it. Fields
+# are matched by name, so a same-named field elsewhere can hide one.
+lint_unset_options() {
+  local header struct field unset=""
+  for header in src/net/*.h src/serve/*.h src/obs/*.h; do
+    while read -r struct field; do
+      if ! grep -rlE "\.${field}([[:space:]]*=[^=]|\{|\.)" \
+             --include='*.h' --include='*.cc' --include='*.cpp' \
+             src/ examples/ bench/ tests/ \
+           | grep -vxF -e "$header" -e "${header%.h}.cc" >/dev/null; then
+        unset+="${header}: ${struct}::${field}"$'\n'
+      fi
+    done < <(awk '
+      depth == 0 && /^[[:space:]]*struct ([A-Za-z]*Options|Options)[[:space:]]*\{/ {
+        name = $2; depth = 1; next
+      }
+      depth > 0 {
+        line = $0; sub(/\/\/.*/, "", line)
+        if (depth == 1 && match(line, /[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=[^;]*|\{.*\})?;[[:space:]]*$/)) {
+          field = substr(line, RSTART, RLENGTH); sub(/[^A-Za-z0-9_].*/, "", field)
+          if (substr(line, 1, RSTART - 1) ~ /[A-Za-z_>]/) print name, field
+        }
+        depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+      }' "$header")
+  done
+  if [[ -n "$unset" ]]; then
+    echo "option fields no caller sets (make them constants):" >&2
+    printf '%s' "$unset" >&2
+    return 1
+  fi
+}
+echo "== unset-option lint (src/net, src/serve, src/obs) =="
+lint_unset_options
+
 # Legacy-format lint: the v3 bundle codec is a migration path, read only
 # by bundle_convert and the tests. Any other includer would put v3 back
 # on the serving path.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Scrapes the observability surfaces of a live server and saves them as
 # artifacts: OpenMetrics exposition (exemplars + # EOF), the SLO burn
-# view, and error-severity wide events from the flight recorder.
+# view, the slowest/errored trace rings, and error-severity wide events
+# from the flight recorder.
 #
 # Usage: scripts/scrape_obs.sh [server-binary] [out-dir]
 #   server-binary  default: build/examples/http_server_cli
@@ -65,6 +66,7 @@ curl -sSf "$BASE/sloz" >"$OUT_DIR/sloz.json"
 curl -sSf "$BASE/logz?severity=error" >"$OUT_DIR/logz-errors.ndjson"
 curl -sSf "$BASE/logz" >"$OUT_DIR/logz.ndjson"
 curl -sSf "$BASE/statsz" >"$OUT_DIR/statsz.json"
+curl -sSf "$BASE/tracez" >"$OUT_DIR/tracez.json"
 
 # Sanity: the artifacts must actually be the formats they claim.
 grep -q '^# EOF$' "$OUT_DIR/metricsz.openmetrics" \
@@ -75,6 +77,14 @@ grep -q '"degraded":' "$OUT_DIR/sloz.json" \
   || { echo "FAIL: /sloz missing degraded field" >&2; exit 1; }
 grep -q ' # {trace_id=' "$OUT_DIR/metricsz.openmetrics" \
   || { echo "FAIL: no exemplars in the OpenMetrics exposition" >&2; exit 1; }
+# The first warm request is always sampled (1-in-64 samples request 0),
+# so the slowest ring holds at least one record with its stage times.
+python3 - "$OUT_DIR/tracez.json" <<'EOF' \
+  || { echo "FAIL: /tracez has no slowest record with stages_ms" >&2; exit 1; }
+import json, sys
+slowest = json.load(open(sys.argv[1]))["slowest"]
+sys.exit(0 if slowest and all(r["stages_ms"] for r in slowest) else 1)
+EOF
 
 echo "scraped artifacts into $OUT_DIR:"
 ls -l "$OUT_DIR"

@@ -34,7 +34,19 @@ constexpr char kOverloadResponse[] =
 /// typically holds, far below IOV_MAX.
 constexpr int kMaxIov = 64;
 
-io::Status MakeListenSocket(const std::string& host, int port, int backlog,
+constexpr int kBacklog = 128;
+/// Every connection's parser runs with the default hard limits.
+constexpr HttpParser::Limits kLimits{};
+/// Frame mode: requests concurrently in flight per connection before the
+/// server stops reading from it (per-connection admission; the global
+/// admission controller still applies per request).
+constexpr size_t kMaxPipelineDepth = 32;
+/// Frame mode: unflushed response bytes queued on a connection before
+/// the server stops reading from it (write-queue backpressure — a peer
+/// that stops reading cannot balloon memory).
+constexpr size_t kMaxPipelineWriteBytes = 1 << 20;
+
+io::Status MakeListenSocket(const std::string& host, int port,
                             bool want_reuseport, bool* got_reuseport,
                             int* out_fd, int* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -62,7 +74,7 @@ io::Status MakeListenSocket(const std::string& host, int port, int backlog,
     ::close(fd);
     return status;
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, kBacklog) != 0) {
     const io::Status status =
         io::Status::Error(std::string("listen: ") + std::strerror(errno));
     ::close(fd);
@@ -114,12 +126,7 @@ HttpServer::HttpServer(const HttpServerOptions& options, Handler handler)
     : options_(options), handler_(std::move(handler)) {
   DSSDDI_CHECK(handler_ != nullptr) << "HttpServer needs a handler";
   if (options_.num_loops < 1) options_.num_loops = 1;
-  if (options_.backlog < 1) options_.backlog = 1;
   if (options_.max_connections < 1) options_.max_connections = 1;
-  if (options_.max_pipeline_depth < 1) options_.max_pipeline_depth = 1;
-  if (options_.max_pipeline_write_bytes < 4096) {
-    options_.max_pipeline_write_bytes = 4096;
-  }
 }
 
 HttpServer::~HttpServer() { Stop(); }
@@ -133,8 +140,8 @@ io::Status HttpServer::Start() {
   bool first_reuseport = false;
   const bool want_reuseport = options_.num_loops > 1 || options_.reuseport;
   io::Status status =
-      MakeListenSocket(options_.host, options_.port, options_.backlog,
-                       want_reuseport, &first_reuseport, &first_fd, &port_);
+      MakeListenSocket(options_.host, options_.port, want_reuseport,
+                       &first_reuseport, &first_fd, &port_);
   if (!status.ok) return status;
   reuseport_ = want_reuseport && first_reuseport;
 
@@ -146,9 +153,8 @@ io::Status HttpServer::Start() {
       loop->listen_fd = first_fd;
     } else if (reuseport_) {
       bool got = false;
-      status = MakeListenSocket(options_.host, port_, options_.backlog,
-                                /*want_reuseport=*/true, &got, &loop->listen_fd,
-                                &port_);
+      status = MakeListenSocket(options_.host, port_, /*want_reuseport=*/true,
+                                &got, &loop->listen_fd, &port_);
       if (!status.ok) {
         ::close(first_fd);
         for (auto& l : loops_) {
@@ -295,7 +301,7 @@ void HttpServer::HandleAccept(size_t loop_index) {
 
 void HttpServer::RegisterConnection(size_t loop_index, int fd) {
   Loop& loop = *loops_[loop_index];
-  auto conn = std::make_unique<Connection>(options_.limits);
+  auto conn = std::make_unique<Connection>();
   conn->fd = fd;
   conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t id = conn->id;
@@ -352,9 +358,9 @@ bool HttpServer::ReadInput(size_t loop_index, Connection* conn) {
   }
   // Pipelining / slowloris guard: a connection may buffer at most one
   // maximal request plus a read chunk before we stop trusting it.
-  const size_t input_cap = options_.limits.max_request_line +
-                           options_.limits.max_header_bytes +
-                           options_.limits.max_body_bytes + 8192;
+  const size_t input_cap = kLimits.max_request_line +
+                           kLimits.max_header_bytes + kLimits.max_body_bytes +
+                           8192;
   char buffer[8192];
   for (;;) {  // edge-triggered: drain until EAGAIN or EOF
     const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
@@ -453,16 +459,15 @@ bool HttpServer::ProcessHttp(size_t loop_index, Connection* conn) {
 }
 
 bool HttpServer::PipelineSaturated(const Connection* conn) const {
-  return conn->frame_pending.size() >=
-             static_cast<size_t>(options_.max_pipeline_depth) ||
-         conn->out_bytes > options_.max_pipeline_write_bytes;
+  return conn->frame_pending.size() >= kMaxPipelineDepth ||
+         conn->out_bytes > kMaxPipelineWriteBytes;
 }
 
 bool HttpServer::ProcessFrames(size_t loop_index, Connection* conn) {
   // A forged length prefix may not balloon the buffer: frames are capped
   // at the same body limit the HTTP route enforces (plus its own
   // envelope slack, which frames don't need).
-  const size_t max_payload = options_.limits.max_body_bytes;
+  const size_t max_payload = kLimits.max_body_bytes;
   while (!conn->close_after_flush && !conn->in.empty() &&
          !PipelineSaturated(conn)) {
     wire::FrameView view;

@@ -32,21 +32,10 @@ struct HttpServerOptions {
   /// N shard *processes* share one port and let the kernel spread
   /// connections across them (examples/shard_cluster).
   bool reuseport = false;
-  int backlog = 128;
   /// Concurrent connections across all loops; excess accepts are closed
   /// with a canned 503 (connection-level shedding, distinct from the
   /// admission controller's per-request 429).
   int max_connections = 1024;
-  HttpParser::Limits limits;
-  /// Pipelined frame mode: requests concurrently in flight per
-  /// connection before the server stops reading from it (per-connection
-  /// admission; the global admission controller still applies per
-  /// request).
-  int max_pipeline_depth = 32;
-  /// Pipelined frame mode: unflushed response bytes queued on a
-  /// connection before the server stops reading from it (write-queue
-  /// backpressure — a peer that stops reading cannot balloon memory).
-  size_t max_pipeline_write_bytes = 1 << 20;
   /// Optional flight recorder: connection-level error paths (parse
   /// failures, overload closes) record wide events into it, so /logz
   /// sees faults that never reach the request handler. Null = off.
@@ -103,12 +92,11 @@ class ResponseWriter {
 ///               responses go back in arrival order (HTTP/1.1
 ///               pipelining semantics).
 ///   Frame mode  the connection's first bytes are the wire-frame magic:
-///               both directions carry raw frames, up to
-///               max_pipeline_depth requests are dispatched
-///               concurrently, and responses complete out of order
-///               correlated by the frames' request_id. Reading pauses
-///               while the in-flight set is full or the write queue is
-///               over max_pipeline_write_bytes, and resumes as
+///               both directions carry raw frames, up to 32 requests
+///               are dispatched concurrently, and responses complete
+///               out of order correlated by the frames' request_id.
+///               Reading pauses while the in-flight set is full or the
+///               write queue is over 1 MiB, and resumes as
 ///               completions drain them. Queued response frames are
 ///               coalesced into single vectored writes (one syscall per
 ///               flush, not per frame).
@@ -180,7 +168,6 @@ class HttpServer {
     /// A coalescing flush task is queued on the loop.
     bool flush_scheduled = false;
 
-    explicit Connection(const HttpParser::Limits& limits) : parser(limits) {}
   };
 
   struct Loop {

@@ -20,6 +20,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Socket connect timeout.
+constexpr int kConnectTimeoutMs = 2000;
+/// Reader-side cap on a response frame's declared payload: a corrupt or
+/// hostile length prefix fails the stream instead of ballooning the
+/// receive buffer.
+constexpr size_t kMaxFramePayload = 1 << 20;
+
 /// Blocking connect with SO_SNDTIMEO as the connect bound. No
 /// SO_RCVTIMEO: the reader thread parks in recv indefinitely and is
 /// woken by shutdown(), not by timeouts.
@@ -30,8 +37,8 @@ int Dial(const PipelinedClientOptions& options, io::Status* status) {
     return -1;
   }
   struct timeval timeout {};
-  timeout.tv_sec = options.connect_timeout_ms / 1000;
-  timeout.tv_usec = (options.connect_timeout_ms % 1000) * 1000;
+  timeout.tv_sec = kConnectTimeoutMs / 1000;
+  timeout.tv_usec = (kConnectTimeoutMs % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -161,7 +168,7 @@ void PipelinedClient::ReaderLoop(int fd) {
       std::string error;
       const wire::ExtractResult result =
           wire::ExtractFrame(buffer.data() + offset, buffer.size() - offset,
-                             options_.max_frame_payload, &view, &error);
+                             kMaxFramePayload, &view, &error);
       if (result == wire::ExtractResult::kNeedMore) break;
       if (result == wire::ExtractResult::kError) {
         failure = "response stream corrupt: " + error;

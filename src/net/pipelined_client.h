@@ -18,12 +18,6 @@ namespace dssddi::net {
 struct PipelinedClientOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Socket connect timeout.
-  int connect_timeout_ms = 2000;
-  /// Reader-side cap on a response frame's declared payload: a corrupt
-  /// or hostile length prefix fails the stream instead of ballooning
-  /// the receive buffer.
-  size_t max_frame_payload = 1 << 20;
 };
 
 /// Multiplexed pipelined client for the raw wire-frame protocol: one
@@ -80,7 +74,7 @@ class PipelinedClient {
   /// (MSG_DONTWAIT): a full socket buffer fails it like a broken socket.
   /// With `may_dial` false Start never connects, joins or sleeps — safe
   /// on an event loop or inside a callback; with it true a missing
-  /// connection is dialed (blocking, connect_timeout_ms).
+  /// connection is dialed (blocking, bounded by a 2 s connect timeout).
   Started Start(const std::string& frame, Callback done, bool may_dial);
 
   /// Gives up a started exchange. True when its callback had not run

@@ -3,8 +3,22 @@
 #include <algorithm>
 #include <utility>
 
-
 namespace dssddi::net {
+namespace {
+
+/// Connect + per-socket recv/send timeout handed to HttpClient.
+constexpr int kConnectTimeoutMs = 2000;
+/// Idle keep-alive connections retained for reuse.
+constexpr size_t kMaxPool = 4;
+
+PipelinedClientOptions PipelinedOptions(const ReplicaClientOptions& options) {
+  PipelinedClientOptions pipelined;
+  pipelined.host = options.host;
+  pipelined.port = options.port;
+  return pipelined;
+}
+
+}  // namespace
 
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
@@ -26,7 +40,6 @@ CircuitBreaker::CircuitBreaker(const CircuitBreakerOptions& options)
   if (options_.min_volume > options_.window) {
     options_.min_volume = options_.window;
   }
-  if (options_.half_open_successes < 1) options_.half_open_successes = 1;
   outcomes_.assign(static_cast<size_t>(options_.window), 0);
 }
 
@@ -43,10 +56,8 @@ void CircuitBreaker::TransitionLocked(BreakerState to) {
   if (to == BreakerState::kOpen) {
     opened_at_ = std::chrono::steady_clock::now();
     probes_in_flight_ = 0;
-    probe_successes_ = 0;
   } else if (to == BreakerState::kHalfOpen) {
     probes_in_flight_ = 0;
-    probe_successes_ = 0;
   } else {  // kClosed: forgive history
     std::fill(outcomes_.begin(), outcomes_.end(), 0);
     outcome_pos_ = 0;
@@ -94,10 +105,8 @@ void CircuitBreaker::RecordSuccess(uint64_t token) {
   // not drive the current probe, so it is ignored.
   if (token != epoch_) return;
   if (state_ == BreakerState::kHalfOpen) {
-    if (probes_in_flight_ > 0) --probes_in_flight_;
-    if (++probe_successes_ >= options_.half_open_successes) {
-      TransitionLocked(BreakerState::kClosed);
-    }
+    // One probe success closes the breaker.
+    TransitionLocked(BreakerState::kClosed);
     return;
   }
   if (state_ == BreakerState::kClosed) PushOutcomeLocked(false);
@@ -140,16 +149,8 @@ BreakerState CircuitBreaker::state() const {
 ReplicaClient::ReplicaClient(const ReplicaClientOptions& options)
     : options_(options),
       name_(options.host + ":" + std::to_string(options.port)),
-      breaker_(options.breaker) {
-  if (options_.max_pool < 1) options_.max_pool = 1;
-  if (options_.pipelined) {
-    PipelinedClientOptions pipelined_options;
-    pipelined_options.host = options_.host;
-    pipelined_options.port = options_.port;
-    pipelined_options.connect_timeout_ms = options_.connect_timeout_ms;
-    pipelined_ = std::make_unique<PipelinedClient>(pipelined_options);
-  }
-}
+      breaker_(options.breaker),
+      pipelined_(PipelinedOptions(options)) {}
 
 std::unique_ptr<HttpClient> ReplicaClient::Acquire(io::Status* status,
                                                    bool* from_pool) {
@@ -165,8 +166,7 @@ std::unique_ptr<HttpClient> ReplicaClient::Acquire(io::Status* status,
     }
   }
   auto client = std::make_unique<HttpClient>();
-  *status = client->Connect(options_.host, options_.port,
-                            options_.connect_timeout_ms);
+  *status = client->Connect(options_.host, options_.port, kConnectTimeoutMs);
   if (!status->ok) return nullptr;
   return client;
 }
@@ -175,12 +175,7 @@ void ReplicaClient::Release(std::unique_ptr<HttpClient> client,
                             bool reusable) {
   if (!reusable || client == nullptr || !client->connected()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (pool_.size() < options_.max_pool) pool_.push_back(std::move(client));
-}
-
-size_t ReplicaClient::pooled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pool_.size();
+  if (pool_.size() < kMaxPool) pool_.push_back(std::move(client));
 }
 
 io::Status ReplicaClient::Exchange(const std::string& method,
@@ -204,8 +199,8 @@ io::Status ReplicaClient::Exchange(const std::string& method,
     // charging the replica with a failure. Deadline/cancel aborts are
     // excluded — redoing those would double the per-try budget.
     auto fresh = std::make_unique<HttpClient>();
-    const io::Status connected = fresh->Connect(options_.host, options_.port,
-                                                options_.connect_timeout_ms);
+    const io::Status connected =
+        fresh->Connect(options_.host, options_.port, kConnectTimeoutMs);
     if (connected.ok) {
       status = fresh->Request(method, target, body, options, out);
       client = std::move(fresh);

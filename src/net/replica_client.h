@@ -22,7 +22,7 @@ namespace dssddi::net {
 /// Breaker state machine: kClosed (traffic flows, outcomes feed a
 /// rolling window) → kOpen (failure rate crossed the threshold; no
 /// traffic for a cooldown) → kHalfOpen (one probe allowed through) →
-/// back to kClosed on probe success or kOpen on probe failure.
+/// back to kClosed on the probe's success or kOpen on its failure.
 enum class BreakerState : int { kClosed = 0, kHalfOpen = 1, kOpen = 2 };
 
 const char* BreakerStateName(BreakerState state);
@@ -40,8 +40,6 @@ struct CircuitBreakerOptions {
   /// How long an open breaker refuses traffic before letting one
   /// half-open probe through.
   int open_cooldown_ms = 1000;
-  /// Consecutive probe successes required to close again.
-  int half_open_successes = 1;
 };
 
 /// Per-replica circuit breaker. Thread-safe; every transition invokes
@@ -98,7 +96,6 @@ class CircuitBreaker {
   uint64_t epoch_ = 1;
   std::chrono::steady_clock::time_point opened_at_{};
   int probes_in_flight_ = 0;
-  int probe_successes_ = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -108,15 +105,6 @@ class CircuitBreaker {
 struct ReplicaClientOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Connect + per-socket recv/send timeout handed to HttpClient.
-  int connect_timeout_ms = 2000;
-  /// Idle keep-alive connections retained for reuse.
-  size_t max_pool = 4;
-  /// Give the replica one shared multiplexed PipelinedClient connection,
-  /// which the Router sends binary /v1/suggest tries over instead of the
-  /// per-try HTTP pool. Off reverts to one-exchange-per-connection
-  /// (comparison benchmarks, serial-oracle tests).
-  bool pipelined = true;
   CircuitBreakerOptions breaker;
 };
 
@@ -153,12 +141,8 @@ class ReplicaClient {
   CircuitBreaker& breaker() { return breaker_; }
   const CircuitBreaker& breaker() const { return breaker_; }
 
-  /// Idle pooled connections (tests).
-  size_t pooled() const;
-
-  /// The shared multiplexed connection binary suggest traffic rides on;
-  /// nullptr when `options.pipelined` is off (tests, benchmarks).
-  PipelinedClient* pipelined_client() { return pipelined_.get(); }
+  /// The shared multiplexed connection binary suggest traffic rides on.
+  PipelinedClient* pipelined_client() { return &pipelined_; }
 
  private:
   std::unique_ptr<HttpClient> Acquire(io::Status* status, bool* from_pool);
@@ -167,8 +151,8 @@ class ReplicaClient {
   ReplicaClientOptions options_;
   std::string name_;
   CircuitBreaker breaker_;
-  std::unique_ptr<PipelinedClient> pipelined_;
-  mutable std::mutex mutex_;
+  PipelinedClient pipelined_;
+  std::mutex mutex_;
   std::vector<std::unique_ptr<HttpClient>> pool_;
 };
 

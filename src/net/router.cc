@@ -21,6 +21,25 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Seed of the retry backoff's jitter: a chaos replay sleeps the same
+/// schedule.
+constexpr uint64_t kBackoffSeed = 0x5eedull;
+/// Retry budget (token bucket): every request deposits kRetryBudgetRatio
+/// tokens, every retry spends one, and the bucket holds at most
+/// kRetryBudgetBurst — sustained retry volume is capped at ratio ·
+/// request rate so retries cannot amplify an outage.
+constexpr double kRetryBudgetRatio = 0.5;
+constexpr double kRetryBudgetBurst = 32.0;
+/// Ceiling on the hedge trigger, however slow the observed p90.
+constexpr int kHedgeMaxDelayMs = 1000;
+/// Recompute the cached try-latency p90 every N recorded tries.
+constexpr uint32_t kHedgeRefreshEvery = 32;
+/// Stale-serve cache entries (successful fresh bodies, keyed by request
+/// hash; generation-keyed by the response's model version).
+constexpr size_t kStaleCapacity = 512;
+/// Ceiling clamped onto every RouterFrontend deadline.
+constexpr int kMaxDeadlineMs = 10000;
+
 int RemainingMs(Clock::time_point deadline) {
   return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
                               deadline - Clock::now())
@@ -49,7 +68,7 @@ bool IsFinalStatus(int status) { return status < 500 && status != 429; }
 /// "model_version": N. 0 = unknown.
 uint64_t ParseModelVersion(const std::string& body,
                            const std::string& content_type) {
-  if (content_type == wire::kContentType) {
+  if (wire::IsBinaryContentType(content_type)) {
     uint64_t version = 0;
     return wire::PeekModelVersion(body, &version) ? version : 0;
   }
@@ -64,7 +83,7 @@ uint64_t ParseModelVersion(const std::string& body,
 const char* EncodeRouterError(int status, const char* message,
                               const std::string& content_type,
                               std::string* body) {
-  if (content_type == wire::kContentType) {
+  if (wire::IsBinaryContentType(content_type)) {
     wire::ErrorFrame frame;
     frame.status = static_cast<uint32_t>(status);
     frame.message = message;
@@ -87,10 +106,6 @@ struct Router::Try {
   uint64_t admission = 0;
   int budget_ms = 0;
   Clock::time_point started;
-  /// Pipelined tries ride the replica's PipelinedClient and the router
-  /// settles their admission; the others run ReplicaClient::Exchange on
-  /// a pool_ thread, which settles it.
-  bool pipelined = false;
   /// Pipelined: the try counts as failed once this passes unanswered.
   Clock::time_point budget_at;
   // Guarded by the call's mutex:
@@ -111,8 +126,9 @@ struct Router::Call {
   std::string target;
   std::string body;
   std::string content_type;
-  /// A wire frame for /v1/suggest: pipelined wherever the replica has a
-  /// pipelined connection.
+  /// A wire frame for /v1/suggest. Its tries ride the replica's
+  /// PipelinedClient and the router settles their admission; JSON tries
+  /// run ReplicaClient::Exchange on a pool_ thread, which settles it.
   bool binary = false;
   bool has_deadline = false;
   Clock::time_point start;
@@ -159,11 +175,8 @@ struct Router::Call {
 
 class Router::StaleCache {
  public:
-  explicit StaleCache(size_t capacity) : capacity_(capacity) {}
-
   void Put(uint64_t key, std::string body, std::string content_type,
            uint64_t model_version) {
-    if (capacity_ == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
     // A newer model generation invalidates every older entry: stale
     // answers may lag in time, never across an observed reload. Entries
@@ -177,7 +190,7 @@ class Router::StaleCache {
       lru_.erase(it->second.lru);
       map_.erase(it);
     }
-    while (map_.size() >= capacity_) {
+    while (map_.size() >= kStaleCapacity) {
       map_.erase(lru_.back());
       lru_.pop_back();
     }
@@ -210,7 +223,6 @@ class Router::StaleCache {
     std::list<uint64_t>::iterator lru;
   };
   std::mutex mutex_;
-  size_t capacity_;
   uint64_t generation_ = 0;
   std::list<uint64_t> lru_;
   std::unordered_map<uint64_t, Entry> map_;
@@ -227,7 +239,7 @@ Router::Router(const std::vector<ReplicaClientOptions>& replicas,
     : options_(options),
       registry_(std::move(registry)),
       recorder_(std::move(recorder)),
-      retry_tokens_(options.retry_budget_burst) {
+      retry_tokens_(kRetryBudgetBurst) {
   DSSDDI_CHECK(!replicas.empty()) << "Router needs at least one replica";
   DSSDDI_CHECK(replicas.size() <= 64) << "Router caps out at 64 replicas";
   DSSDDI_CHECK(registry_ != nullptr) << "Router needs a registry";
@@ -236,7 +248,7 @@ Router::Router(const std::vector<ReplicaClientOptions>& replicas,
   if (options_.worker_threads < 2) options_.worker_threads = 2;
 
   pool_ = std::make_unique<serve::ThreadPool>(options_.worker_threads);
-  stale_ = std::make_unique<StaleCache>(options_.stale_capacity);
+  stale_ = std::make_unique<StaleCache>();
 
   requests_ok_ = registry_->GetCounter("dssddi_router_requests_total",
                                        "Router exchanges by outcome",
@@ -320,11 +332,7 @@ Router::~Router() {
   pool_->Shutdown();
   // Fail every try still in flight on a pipelined connection. Their
   // calls finish without retrying, while the clients are still alive.
-  for (const auto& replica : replicas_) {
-    if (replica->pipelined_client() != nullptr) {
-      replica->pipelined_client()->Close();
-    }
-  }
+  for (const auto& replica : replicas_) replica->pipelined_client()->Close();
   {
     std::lock_guard<std::mutex> lock(timer_mutex_);
     timer_stop_ = true;
@@ -389,15 +397,15 @@ int Router::HedgeDelayMs() {
   const double p90 = hedge_delay_cache_.load(std::memory_order_relaxed);
   double delay = p90 > 0.0 ? p90 : options_.hedge_min_delay_ms;
   delay = std::max(delay, static_cast<double>(options_.hedge_min_delay_ms));
-  delay = std::min(delay, static_cast<double>(options_.hedge_max_delay_ms));
+  delay = std::min(delay, static_cast<double>(kHedgeMaxDelayMs));
   return static_cast<int>(std::ceil(delay));
 }
 
 void Router::RecordTryLatency(double ms) {
   try_latency_->Record(ms);
-  const uint32_t every = std::max<uint32_t>(options_.hedge_refresh_every, 1);
-  if (try_records_.fetch_add(1, std::memory_order_relaxed) % every ==
-      every - 1) {
+  if (try_records_.fetch_add(1, std::memory_order_relaxed) %
+          kHedgeRefreshEvery ==
+      kHedgeRefreshEvery - 1) {
     hedge_delay_cache_.store(try_latency_->Snapshot().Quantile(0.90),
                              std::memory_order_relaxed);
   }
@@ -410,7 +418,8 @@ void Router::Start(const std::string& target, const std::string& body,
   call->target = target;
   call->body = body;
   call->content_type = content_type;
-  call->binary = content_type == wire::kContentType && target == "/v1/suggest";
+  call->binary =
+      wire::IsBinaryContentType(content_type) && target == "/v1/suggest";
   call->start = Clock::now();
   call->has_deadline = deadline_ms > 0;
   call->deadline =
@@ -421,8 +430,8 @@ void Router::Start(const std::string& target, const std::string& body,
   call->done = std::move(done);
   {
     std::lock_guard<std::mutex> lock(budget_mutex_);
-    retry_tokens_ = std::min(options_.retry_budget_burst,
-                             retry_tokens_ + options_.retry_budget_ratio);
+    retry_tokens_ =
+        std::min(kRetryBudgetBurst, retry_tokens_ + kRetryBudgetRatio);
   }
   std::unique_lock<std::mutex> lock(call->mutex);
   NextAttempt(call, lock);
@@ -449,10 +458,7 @@ std::shared_ptr<Router::Try> Router::NewTry(const Call& call, int replica,
   t->budget_ms = budget_ms;
   t->started = now;
   t->budget_at = now + std::chrono::milliseconds(budget_ms);
-  t->pipelined = call.binary &&
-                 replicas_[static_cast<size_t>(replica)]->pipelined_client() !=
-                     nullptr;
-  t->may_redo = t->pipelined;
+  t->may_redo = call.binary;
   return t;
 }
 
@@ -526,7 +532,7 @@ void Router::AttemptFailed(const std::shared_ptr<Call>& call,
   retries_total_->Increment();
   int backoff_ms =
       BackoffMs(c.result.tries, options_.backoff_base_ms,
-                options_.backoff_max_ms, options_.backoff_seed, c.nonce);
+                options_.backoff_max_ms, kBackoffSeed, c.nonce);
   if (c.has_deadline) {
     backoff_ms = std::min(backoff_ms, std::max(0, RemainingMs(c.deadline) - 1));
   }
@@ -546,7 +552,7 @@ void Router::Finish(const std::shared_ptr<Call>& call,
   c.finished = true;
   // Whatever the verdict, stop every try still running.
   for (const auto& t : c.tries) {
-    if (t != nullptr && !t->closed) CloseTry(*t, Verdict::kCancelled);
+    if (t != nullptr && !t->closed) CloseTry(c, *t, Verdict::kCancelled);
   }
   c.hedge_pending = false;
   c.backoff_pending = false;
@@ -555,10 +561,10 @@ void Router::Finish(const std::shared_ptr<Call>& call,
   Complete(c);
 }
 
-void Router::CloseTry(Try& t, Verdict verdict) {
+void Router::CloseTry(const Call& call, Try& t, Verdict verdict) {
   t.closed = true;
   ReplicaClient& replica = *replicas_[static_cast<size_t>(t.replica)];
-  if (!t.pipelined) {
+  if (!call.binary) {
     // ReplicaClient::Exchange settles the admission; a cancelled try
     // aborts within one poll slice and is settled as neutral.
     if (verdict == Verdict::kCancelled) {
@@ -582,7 +588,7 @@ void Router::CloseTry(Try& t, Verdict verdict) {
 
 void Router::LaunchTry(const std::shared_ptr<Call>& call,
                        const std::shared_ptr<Try>& t) {
-  if (t->pipelined) {
+  if (call->binary) {
     StartPipelined(call, t, /*may_dial=*/false);
     return;
   }
@@ -675,10 +681,10 @@ void Router::OnTryDone(const std::shared_ptr<Call>& call,
     DialTry(call, t);
     return;
   }
-  CloseTry(*t, stopping ? Verdict::kCancelled
-               : status.ok && response.status < 500
-                   ? Verdict::kSucceeded
-                   : Verdict::kFailed);
+  CloseTry(c, *t, stopping ? Verdict::kCancelled
+                  : status.ok && response.status < 500
+                      ? Verdict::kSucceeded
+                      : Verdict::kFailed);
   if (status.ok) RecordTryLatency(ElapsedMs(t->started));
   if (status.ok && IsFinalStatus(response.status)) {
     c.winner = t;
@@ -704,8 +710,8 @@ void Router::OnTimer(const std::shared_ptr<Call>& call) {
   const Clock::time_point now = Clock::now();
   bool expired = false;
   for (const auto& t : c.tries) {
-    if (t != nullptr && !t->closed && t->pipelined && now >= t->budget_at) {
-      CloseTry(*t, Verdict::kFailed);  // no answer within its budget
+    if (t != nullptr && !t->closed && c.binary && now >= t->budget_at) {
+      CloseTry(c, *t, Verdict::kFailed);  // no answer within its budget
       expired = true;
     }
   }
@@ -760,7 +766,7 @@ void Router::Rearm(const std::shared_ptr<Call>& call) {
   if (c.hedge_pending) consider(c.hedge_at);
   if (c.backoff_pending) consider(c.backoff_at);
   for (const auto& t : c.tries) {
-    if (t != nullptr && !t->closed && t->pipelined) consider(t->budget_at);
+    if (t != nullptr && !t->closed && c.binary) consider(t->budget_at);
   }
   if (!any) {
     Disarm(c);
@@ -1143,9 +1149,7 @@ void RouterFrontend::HandleSuggest(const HttpRequest& request,
     }
     deadline_ms = static_cast<int>(parsed);
   }
-  if (options_.max_deadline_ms > 0) {
-    deadline_ms = std::min(deadline_ms, options_.max_deadline_ms);
-  }
+  deadline_ms = std::min(deadline_ms, kMaxDeadlineMs);
 
   {
     std::lock_guard<std::mutex> lock(exchanges_mutex_);

@@ -35,29 +35,19 @@ struct RouterOptions {
   int per_try_timeout_ms = 1000;
   /// Capped exponential backoff between retries: base · 2^attempt,
   /// clamped to max, with seeded full jitter (never sleeps past the
-  /// request deadline).
+  /// request deadline). Retries are also bounded by a token-bucket
+  /// budget (router.cc) so they cannot amplify an outage.
   int backoff_base_ms = 5;
   int backoff_max_ms = 100;
-  uint64_t backoff_seed = 0x5eedull;
-  /// Retry budget (token bucket): every request deposits `ratio`
-  /// tokens, every retry spends one — sustained retry volume is capped
-  /// at ratio · request rate so retries cannot amplify an outage.
-  double retry_budget_ratio = 0.5;
-  double retry_budget_burst = 32.0;
   /// Deadline-aware hedging: once a try has been in flight longer than
-  /// the observed try-latency p90 (clamped to [min,max] below), launch
-  /// a duplicate on another replica; first answer wins, the loser is
-  /// cancelled. Refused while `hedge_inhibit` returns true (wired to
-  /// the SLO engine's degraded bit) so hedges never amplify overload.
+  /// the observed try-latency p90 (at least `hedge_min_delay_ms`, at
+  /// most 1 s), launch a duplicate on another replica; first answer
+  /// wins, the loser is cancelled. Refused while `hedge_inhibit` returns
+  /// true (wired to the SLO engine's degraded bit) so hedges never
+  /// amplify overload.
   bool hedging = true;
   int hedge_min_delay_ms = 10;
-  int hedge_max_delay_ms = 1000;
-  /// Recompute the cached p90 every N recorded tries.
-  uint32_t hedge_refresh_every = 32;
   std::function<bool()> hedge_inhibit;
-  /// Stale-serve cache entries (successful fresh bodies, keyed by
-  /// request hash; generation-keyed by the response's model version).
-  size_t stale_capacity = 512;
   /// Threads running the tries that block: JSON tries over the HTTP
   /// pool (each up to its per-try budget) and the dials of pipelined
   /// connections. Bounds concurrent JSON tries; binary tries over a
@@ -177,7 +167,7 @@ class Router {
   /// Settles a try exactly once: the breaker admission of a pipelined
   /// try (and its ticket, when the answer is still due), or the cancel
   /// flag of a pooled one (ReplicaClient::Exchange settles those).
-  void CloseTry(Try& t, Verdict verdict);
+  void CloseTry(const Call& call, Try& t, Verdict verdict);
   /// Points the call's timer entry at its earliest pending time.
   void Rearm(const std::shared_ptr<Call>& call);
   void Disarm(Call& call);
@@ -230,7 +220,7 @@ class Router {
   std::vector<obs::Gauge*> replica_state_;
 
   /// Cached hedge trigger: try-latency p90, refreshed every
-  /// hedge_refresh_every records (same pattern as LatencyTracker).
+  /// kHedgeRefreshEvery records (same pattern as LatencyTracker).
   std::atomic<double> hedge_delay_cache_{0.0};
   std::atomic<uint32_t> try_records_{0};
 };
@@ -241,10 +231,8 @@ class Router {
 
 struct RouterFrontendOptions {
   /// Deadline applied to /v1/suggest exchanges arriving without an
-  /// X-Deadline-Ms header.
+  /// X-Deadline-Ms header. Every deadline is capped at 10 s.
   int default_deadline_ms = 1000;
-  /// Ceiling clamped onto client-supplied deadlines; 0 = none.
-  int max_deadline_ms = 10000;
 };
 
 /// HTTP face of the Router — what `examples/replica_cluster` serves.

@@ -97,19 +97,6 @@ std::string SuggestionToFrame(const core::Suggestion& suggestion,
   return wire::EncodeSuggestResponse(frame);
 }
 
-/// True when `value` names the binary frame media type, ignoring any
-/// parameters ("application/x-dssddi; charset=binary" still counts —
-/// proxies and client libraries append parameters routinely).
-bool IsBinaryContentType(const std::string& value) {
-  size_t end = value.find(';');
-  if (end == std::string::npos) end = value.size();
-  while (end > 0 && (value[end - 1] == ' ' || value[end - 1] == '\t')) --end;
-  size_t begin = 0;
-  while (begin < end && (value[begin] == ' ' || value[begin] == '\t')) ++begin;
-  return AsciiEqualsIgnoreCase(value.substr(begin, end - begin),
-                               wire::kContentType);
-}
-
 double UnixSecondsNow() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -369,9 +356,9 @@ void SuggestFrontend::Handle(const HttpRequest& request,
       writer.Send(JsonError(405, "use GET for /sloz"));
       return;
     }
-    const int status = HandleSloz(writer);
+    HandleSloz(writer);
     sloz_metrics_->requests->Increment();
-    sloz_metrics_->CountResponse(status);
+    sloz_metrics_->CountResponse(200);
     sloz_metrics_->latency.Record(MillisSince(start));
     return;
   }
@@ -396,10 +383,11 @@ void SuggestFrontend::HandleSuggest(const HttpRequest& request,
   // binary frame codec, selected per request by Content-Type. The
   // response always mirrors the request's codec.
   const std::string* content_type = request.FindHeader("Content-Type");
-  const bool binary = content_type != nullptr && IsBinaryContentType(*content_type);
+  const bool binary =
+      content_type != nullptr && wire::IsBinaryContentType(*content_type);
 
   serve::Request suggest;
-  int64_t budget_ms = 0;  // 0 = fall through to the route default
+  int64_t budget_ms = 0;  // 0 = fall through to suggest_budget_ms
   uint64_t trace_id = 0;
   uint64_t request_id = 0;  // multiplexing correlator, echoed verbatim
   serve::RequestPriority priority = serve::RequestPriority::kInteractive;
@@ -506,10 +494,7 @@ void SuggestFrontend::HandleSuggest(const HttpRequest& request,
       return;
     }
   }
-  if (budget_ms == 0) budget_ms = options_.DefaultBudgetMs(request.target);
-  if (options_.max_budget_ms > 0 && budget_ms > options_.max_budget_ms) {
-    budget_ms = options_.max_budget_ms;
-  }
+  if (budget_ms == 0) budget_ms = options_.suggest_budget_ms;
   if (trace_id == 0) {
     trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -802,7 +787,8 @@ void SuggestFrontend::HandleStats(ResponseWriter writer) const {
         metrics->latency.Snapshot();
     json.Key(metrics->route).BeginObject()
         .Key("requests").UInt(metrics->requests->Value())
-        .Key("default_budget_ms").Int(options_.DefaultBudgetMs(metrics->route))
+        .Key("default_budget_ms")
+            .Int(metrics == suggest_metrics_.get() ? options_.suggest_budget_ms : 0)
         .Key("p50_ms").Double(latency.p50_ms)
         .Key("p90_ms").Double(latency.p90_ms)
         .Key("p99_ms").Double(latency.p99_ms)
@@ -892,16 +878,10 @@ int SuggestFrontend::HandleLogz(const std::string& query,
   return 200;
 }
 
-int SuggestFrontend::HandleSloz(ResponseWriter writer) const {
-  const obs::SloEngine* slo = service_->slo_engine();
-  if (slo == nullptr) {
-    writer.Send(JsonError(404, "SLO engine disabled (ServiceOptions::slo_enabled)"));
-    return 404;
-  }
+void SuggestFrontend::HandleSloz(ResponseWriter writer) const {
   HttpResponse response;
-  response.body = slo->RenderSlozJson();
+  response.body = service_->slo_engine()->RenderSlozJson();
   writer.Send(std::move(response));
-  return 200;
 }
 
 void SuggestFrontend::HandleTracez(ResponseWriter writer) const {

@@ -20,19 +20,11 @@ namespace dssddi::net {
 
 /// Front-end policy knobs, fixed at construction.
 struct SuggestFrontendOptions {
-  struct RouteBudget {
-    std::string route;  // exact target, e.g. "/v1/suggest"
-    int budget_ms = 0;
-  };
-  /// Default latency budgets applied per route when a request arrives
-  /// without an explicit deadline (no X-Deadline-Ms header / zero
-  /// binary deadline field). Only queued routes meaningfully expire —
-  /// /healthz, /statsz and /admin/reload answer inline on the loop
-  /// thread — but the table is keyed by route so new scoring routes get
-  /// budgets without new plumbing. Empty (default) = no default budgets.
-  std::vector<RouteBudget> route_budgets;
-  /// Ceiling clamped onto client-supplied budgets; 0 = no ceiling.
-  int max_budget_ms = 0;
+  /// Latency budget for a /v1/suggest request that arrives without an
+  /// explicit deadline (no X-Deadline-Ms header / zero binary deadline
+  /// field); 0 = none. The other routes answer inline on the loop thread,
+  /// so they have nothing to expire.
+  int suggest_budget_ms = 0;
   /// Head-based trace sampling for /v1/suggest: every Nth request gets a
   /// full per-stage trace (stage histograms + /tracez retention). 1
   /// traces everything, 0 disables tracing — and the disabled path adds
@@ -47,13 +39,6 @@ struct SuggestFrontendOptions {
   /// be handed to HttpServerOptions::fault so installed specs take
   /// effect on this replica's socket ops. Absent -> /admin/fault 404s.
   std::shared_ptr<fault::FaultInjector> fault_injector;
-
-  int DefaultBudgetMs(const std::string& route) const {
-    for (const RouteBudget& entry : route_budgets) {
-      if (entry.route == route) return entry.budget_ms;
-    }
-    return 0;
-  }
 };
 
 /// The JSON body of a served suggestion: `patient_id`, `model_version`,
@@ -190,7 +175,7 @@ class SuggestFrontend {
   /// Return the status they answered with, so the caller counts the
   /// response class without re-deriving it.
   int HandleLogz(const std::string& query, ResponseWriter writer);
-  int HandleSloz(ResponseWriter writer) const;
+  void HandleSloz(ResponseWriter writer) const;
   int HandleReload(const HttpRequest& request, ResponseWriter writer);
   /// Counts one pre-service rejection: bad_requests_, the route's 4xx
   /// class, and a kBadRequest flight-recorder event. `detail` must be a

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <cctype>
 #include <cstring>
 #include <limits>
 
@@ -217,6 +218,24 @@ bool LooksLikeFramePrefix(const char* data, size_t size) {
   }
   if (size >= 2 && static_cast<uint8_t>(data[1]) != ((kMagic >> 8) & 0xff)) {
     return false;
+  }
+  return true;
+}
+
+bool IsBinaryContentType(const std::string& value) {
+  size_t end = value.find(';');
+  if (end == std::string::npos) end = value.size();
+  while (end > 0 && (value[end - 1] == ' ' || value[end - 1] == '\t')) --end;
+  size_t begin = 0;
+  while (begin < end && (value[begin] == ' ' || value[begin] == '\t')) ++begin;
+  const size_t size = sizeof(kContentType) - 1;
+  if (end - begin != size) return false;
+  for (size_t i = 0; i < size; ++i) {
+    // kContentType is lowercase ASCII.
+    if (std::tolower(static_cast<unsigned char>(value[begin + i])) !=
+        kContentType[i]) {
+      return false;
+    }
   }
   return true;
 }

@@ -84,6 +84,11 @@ namespace dssddi::net::wire {
 /// buffers, length-prefix mismatches and inconsistent internal counts
 /// all fail with a diagnostic instead of reading garbage.
 inline constexpr char kContentType[] = "application/x-dssddi";
+/// True when a Content-Type header value names `kContentType`, ignoring
+/// case and any parameters ("application/x-dssddi; charset=binary" still
+/// counts — proxies and client libraries append parameters routinely).
+/// The replica and the router both decide a request's codec with it.
+bool IsBinaryContentType(const std::string& value);
 inline constexpr uint16_t kMagic = 0x4453;
 inline constexpr uint8_t kVersion = 2;
 inline constexpr size_t kHeaderBytes = 16;

@@ -60,7 +60,6 @@ const char* LogReasonName(LogReason reason) {
 
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
     : capacity_(RoundUpPow2(options.capacity == 0 ? 1 : options.capacity)),
-      options_(options),
       slots_(new Slot[capacity_]) {}
 
 FlightRecorder::~FlightRecorder() { delete[] slots_; }
@@ -107,20 +106,6 @@ void FlightRecorder::Record(LogSeverity severity, LogReason reason,
       slot.stage_ns[static_cast<size_t>(s)].store(ns, std::memory_order_release);
     }
     slot.seq.store(stamp, std::memory_order_release);
-  }
-
-  if (options_.stderr_errors && severity == LogSeverity::kError) {
-    // Fixed-buffer single-line JSON to stderr: allocation-free so the
-    // sink is safe even under memory pressure (its whole reason to
-    // exist). Stage detail is omitted — the ring has it.
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"severity\":\"error\",\"reason\":\"%s\",\"route\":\"%s\","
-                  "\"status\":%d,\"trace_id\":%llu,\"total_ms\":%.3f,"
-                  "\"detail\":\"%s\"}\n",
-                  LogReasonName(reason), route, status,
-                  static_cast<unsigned long long>(trace_id), total_ms, detail);
-    std::fputs(buf, stderr);
   }
 }
 

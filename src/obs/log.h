@@ -79,10 +79,6 @@ struct LogEvent {
 struct FlightRecorderOptions {
   /// Events retained across all threads; rounded up to a power of two.
   size_t capacity = 1024;
-  /// Mirror kError events to stderr as single-line JSON the moment they
-  /// are recorded (crash forensics: the ring dies with the process, the
-  /// pipe may not). Formatting uses a stack buffer — still no allocation.
-  bool stderr_errors = false;
 };
 
 class FlightRecorder {
@@ -139,13 +135,12 @@ class FlightRecorder {
   bool ReadSlot(size_t index, LogEvent* out, uint64_t* ticket) const;
 
   size_t capacity_;  // power of two
-  FlightRecorderOptions options_;
   std::atomic<uint64_t> next_ticket_{0};
   Slot* slots_;  // array of capacity_ slots, heap-allocated once
 };
 
-/// Appends one event as a single-line JSON object to `out` (shared by
-/// the /logz render and the stderr sink's fixed-buffer variant).
+/// Appends one event as a single-line JSON object to `out` (one /logz
+/// line).
 void AppendLogEventJson(std::string* out, const LogEvent& event);
 
 }  // namespace dssddi::obs

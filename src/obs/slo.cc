@@ -10,6 +10,11 @@ namespace dssddi::obs {
 namespace {
 
 constexpr double kMinBudget = 1e-9;  // target == 1.0 still yields finite burns
+/// Enter degraded when any fast-window burn >= this. 14.4 is the SRE
+/// Workbook's page-worthy fast burn (2% of a 30-day budget in 1h).
+constexpr double kFastBurnEnter = 14.4;
+/// Exit degraded when every fast-window burn < this (hysteresis).
+constexpr double kFastBurnExit = 1.0;
 
 const char* KindName(SloObjective::Kind kind) {
   return kind == SloObjective::Kind::kLatency ? "latency" : "availability";
@@ -213,8 +218,8 @@ void SloEngine::Tick(std::chrono::steady_clock::time_point now) {
       status.fast_burn = BurnRate(fast_bad, fast_total, objective.target);
       status.slow_burn = BurnRate(slow_bad, slow_total, objective.target);
 
-      if (status.fast_burn >= options_.fast_burn_enter) any_enter = true;
-      if (status.fast_burn >= options_.fast_burn_exit) all_exit = false;
+      if (status.fast_burn >= kFastBurnEnter) any_enter = true;
+      if (status.fast_burn >= kFastBurnExit) all_exit = false;
       status_.push_back(std::move(status));
     }
 
@@ -257,9 +262,9 @@ std::string SloEngine::RenderSlozJson() const {
   out += ",\"slow_window_seconds\":";
   out += std::to_string(options_.slow_window.count());
   out += ",\"fast_burn_enter\":";
-  AppendDouble(&out, options_.fast_burn_enter);
+  AppendDouble(&out, kFastBurnEnter);
   out += ",\"fast_burn_exit\":";
-  AppendDouble(&out, options_.fast_burn_exit);
+  AppendDouble(&out, kFastBurnExit);
   out += ",\"transitions\":";
   out += std::to_string(transitions());
   out += ",\"objectives\":[";

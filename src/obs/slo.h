@@ -30,9 +30,9 @@ namespace dssddi::obs {
 /// at the sustainable rate, burn 14.4 exhausts a 30-day budget in ~2
 /// days. The engine samples cumulative counts every tick, diffs against
 /// the sample one window back (5m fast / 1h slow by default), and enters
-/// `degraded` when any objective's fast burn crosses the enter
-/// threshold, exiting — with hysteresis — only when every fast burn has
-/// fallen below the exit threshold, i.e. after the window clears.
+/// `degraded` when any objective's fast burn reaches 14.4, exiting —
+/// with hysteresis — only when every fast burn has fallen below 1.0,
+/// i.e. after the window clears.
 
 /// One declarative objective.
 struct SloObjective {
@@ -63,11 +63,6 @@ struct SloEngineOptions {
   /// Cadence of the background evaluator thread (ignored by manual
   /// Tick calls, which tests use for determinism).
   std::chrono::milliseconds tick_period{1000};
-  /// Enter degraded when any fast-window burn >= this. 14.4 is the SRE
-  /// Workbook's page-worthy fast burn (2% of a 30-day budget in 1h).
-  double fast_burn_enter = 14.4;
-  /// Exit degraded when every fast-window burn < this (hysteresis).
-  double fast_burn_exit = 1.0;
   /// Spawn the evaluator thread. Tests disable it and drive Tick.
   bool start_thread = true;
 };

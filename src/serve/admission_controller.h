@@ -54,10 +54,6 @@ class AdmissionController {
     /// cannot cover the median service time; larger values shed earlier
     /// (more headroom demanded), 0 sheds only already-expired requests.
     double deadline_headroom = 1.0;
-    /// Multiplier applied to `deadline_headroom` while the SLO engine
-    /// holds the gate in degraded mode: requests must show more slack to
-    /// be admitted, so marginal ones are rejected before they queue.
-    double degraded_headroom_multiplier = 2.0;
     /// While degraded, shed kBatch-priority arrivals outright (429):
     /// graceful degradation drops the traffic class that asked to be
     /// dropped first, keeping interactive p99 inside its objective.
@@ -85,8 +81,8 @@ class AdmissionController {
   /// budget left right now (+infinity when it has no deadline);
   /// `p50_service_ms` is the caller's rolling estimate (0 = unknown, in
   /// which case only already-expired requests are deadline-shed).
-  /// `degraded` is the SLO engine's burn-rate state right now (false
-  /// without an engine). Counts the decision as a side effect.
+  /// `degraded` is the SLO engine's burn-rate state right now. Counts the
+  /// decision as a side effect.
   ///
   /// Probing: every kProbeInterval'th estimate-driven shed candidate is
   /// admitted instead. The p50 estimate is refreshed by completions, so
@@ -117,7 +113,7 @@ class AdmissionController {
       return Decision::kShedLoad;
     }
     const double headroom =
-        degraded ? options_.deadline_headroom * options_.degraded_headroom_multiplier
+        degraded ? options_.deadline_headroom * kDegradedHeadroomMultiplier
                  : options_.deadline_headroom;
     if (remaining_budget_ms < headroom * p50_service_ms) {
       const uint64_t nth =
@@ -161,6 +157,10 @@ class AdmissionController {
 
  private:
   static constexpr uint64_t kProbeInterval = 16;
+  /// Multiplier applied to `deadline_headroom` while the SLO engine holds
+  /// the gate in degraded mode: requests must show more slack to be
+  /// admitted, so marginal ones are rejected before they queue.
+  static constexpr double kDegradedHeadroomMultiplier = 2.0;
 
   static obs::Counter* DecisionCounter(obs::Registry& registry,
                                        const char* decision) {

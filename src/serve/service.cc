@@ -18,6 +18,11 @@
 namespace dssddi::serve {
 namespace {
 
+constexpr int kCacheShards = 8;
+/// p99 threshold of the default suggest objectives, used when
+/// ServiceOptions::slo names none.
+constexpr double kDefaultSloP99Ms = 250.0;
+
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -52,7 +57,7 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
       registry_(std::make_shared<obs::Registry>()),
       collector_(std::make_shared<obs::TraceCollector>(
           registry_, options.trace_ring_capacity)),
-      recorder_(std::make_shared<obs::FlightRecorder>(options.flight_recorder)),
+      recorder_(std::make_shared<obs::FlightRecorder>()),
       requests_(registry_->GetCounter("dssddi_service_requests_total",
                                       "Requests accepted by Submit")),
       completed_(registry_->GetCounter("dssddi_service_completed_total",
@@ -118,7 +123,7 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
   PublishBundleGauges(*snapshot_);
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<SuggestionCache>(options_.cache_capacity,
-                                               options_.cache_shards);
+                                               kCacheShards);
   }
   RequestBatcher::Options batch_options;
   batch_options.max_batch_size = options_.max_batch_size;
@@ -132,18 +137,15 @@ SuggestionService::SuggestionService(io::InferenceBundle bundle,
       [this](std::vector<PendingRequest> expired) {
         for (PendingRequest& pending : expired) ExpireRequest(pending);
       });
-  if (options_.slo_enabled) {
-    obs::SloEngineOptions slo_options = options_.slo;
-    if (slo_options.objectives.empty()) {
-      slo_options.objectives =
-          obs::DefaultSuggestObjectives(options_.slo_default_p99_ms);
-    }
-    // The engine closes the loop: every admission reads its degraded bit
-    // (SloDegraded), so overload visible in the SLO windows tightens
-    // admission before the objective is blown for good.
-    slo_ = std::make_unique<obs::SloEngine>(registry_, std::move(slo_options),
-                                            nullptr, recorder_);
+  obs::SloEngineOptions slo_options = options_.slo;
+  if (slo_options.objectives.empty()) {
+    slo_options.objectives = obs::DefaultSuggestObjectives(kDefaultSloP99Ms);
   }
+  // The engine closes the loop: every admission reads its degraded bit
+  // (SloDegraded), so overload visible in the SLO windows tightens
+  // admission before the objective is blown for good.
+  slo_ = std::make_unique<obs::SloEngine>(registry_, std::move(slo_options),
+                                          nullptr, recorder_);
 }
 
 std::shared_ptr<const ModelSnapshot> SuggestionService::snapshot() const {

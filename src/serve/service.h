@@ -37,7 +37,6 @@ struct ServiceOptions {
   /// Total cached suggestions across shards; 0 disables the cache (and
   /// with it in-flight coalescing, which rides on the same keys).
   size_t cache_capacity = 4096;
-  int cache_shards = 8;
   /// How many slowest traces (and how many recent errored traces) the
   /// /tracez ring retains.
   size_t trace_ring_capacity = 32;
@@ -50,17 +49,9 @@ struct ServiceOptions {
   /// path. Reload decides per incoming bundle (see /admin/reload's
   /// "quantize" field), so the mode can be flipped live.
   std::string quantization = "auto";
-  /// Flight-recorder ring (wide events at completion + every error
-  /// path), served at /logz. Always on — recording is lock-free and
-  /// allocation-free, so there is nothing to turn off.
-  obs::FlightRecorderOptions flight_recorder;
   /// SLO engine: burn-rate evaluation of declarative objectives, with a
   /// degraded output wired into the admission controller. Empty
-  /// `slo.objectives` uses DefaultSuggestObjectives(slo_default_p99_ms).
-  /// `slo_enabled = false` skips the engine entirely (no thread, the
-  /// gate never degrades).
-  bool slo_enabled = true;
-  double slo_default_p99_ms = 250.0;
+  /// `slo.objectives` uses DefaultSuggestObjectives(250 ms).
   obs::SloEngineOptions slo;
 };
 
@@ -303,7 +294,7 @@ class SuggestionService {
   const std::shared_ptr<obs::FlightRecorder>& flight_recorder() const {
     return recorder_;
   }
-  /// The SLO engine behind /sloz; null when `slo_enabled` was false.
+  /// The SLO engine behind /sloz (never null).
   obs::SloEngine* slo_engine() const { return slo_.get(); }
   const AdmissionController& admission() const { return admission_; }
 
@@ -330,9 +321,9 @@ class SuggestionService {
   void FailInflight(const CacheKey& key, const std::exception_ptr& error);
   void RecordLatency(double millis);
   uint64_t InFlight() const;
-  /// The SLO engine's degraded bit (false without an engine): the one
-  /// copy that both admission and Stats() read.
-  bool SloDegraded() const { return slo_ != nullptr && slo_->degraded(); }
+  /// The SLO engine's degraded bit: the one copy that both admission and
+  /// Stats() read.
+  bool SloDegraded() const { return slo_->degraded(); }
   /// Stamps the bundle-provenance gauges (load_ms, bytes mapped, model
   /// version) from a freshly installed snapshot — constructor and every
   /// successful Reload.
@@ -394,7 +385,7 @@ class SuggestionService {
 
   /// Declared last so its evaluator thread stops before anything it
   /// observes (registry histograms, the admission gate, the recorder)
-  /// is torn down. Null when slo_enabled is false.
+  /// is torn down.
   std::unique_ptr<obs::SloEngine> slo_;
 };
 

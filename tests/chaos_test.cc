@@ -825,7 +825,7 @@ int PostWithDeadlineHeader(int port, const std::string& deadline,
 
 // The router reads X-Deadline-Ms by the replica's rule. It used to cast
 // strtol's long to int: 2147483648 became a negative deadline (no
-// deadline, past the max_deadline_ms cap) and 4294967297 became 1 ms.
+// deadline, past the router's 10 s cap) and 4294967297 became 1 ms.
 // The 400 comes in the request's codec, as a replica's does.
 TEST_F(ChaosEndToEndTest, RouterRejectsDeadlinesOutsideInt32With400) {
   auto replica = StartReplica();
@@ -890,6 +890,83 @@ TEST_F(ChaosEndToEndTest, RouterRejectsDeadlinesOutsideInt32With400) {
       << decode_error;
 
   server.Stop();
+  replica->server->Stop();
+}
+
+// The router tells binary from JSON by the replica's rule: case and
+// parameters do not matter. A parameterized frame request is pipelined,
+// and the errors the router makes itself (a bad X-Deadline-Ms, no
+// replica answering) come back as ErrorFrames, not JSON.
+TEST_F(ChaosEndToEndTest, RouterAnswersParameterizedBinaryRequestsInFrames) {
+  const std::string binary = "Application/X-Dssddi; charset=binary";
+  const int patient = dataset_->split.test.front();
+  wire::SuggestRequestFrame frame;
+  frame.patient_id = patient;
+  frame.k = 3;
+  const auto& features = dataset_->patient_features;
+  for (int j = 0; j < features.cols(); ++j) {
+    frame.features.push_back(features.At(patient, j));
+  }
+  const std::string payload = wire::EncodeSuggestRequest(frame);
+  const auto expect_error_frame = [](const std::string& reply, uint32_t status) {
+    wire::ErrorFrame error;
+    std::string decode_error;
+    ASSERT_TRUE(wire::DecodeError(reply, &error, &decode_error))
+        << decode_error << ": " << reply;
+    EXPECT_EQ(error.status, status);
+  };
+
+  // A port nothing listens on: bound, then closed.
+  int dead_port = 0;
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    struct sockaddr_in addr {};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len), 0);
+    dead_port = ntohs(addr.sin_port);
+    ::close(fd);
+  }
+
+  auto replica = StartReplica();
+  for (const int port : {replica->port(), dead_port}) {
+    std::vector<net::ReplicaClientOptions> endpoints(1);
+    endpoints[0].port = port;
+    net::Router router(endpoints, net::RouterOptions{},
+                       std::make_shared<obs::Registry>(),
+                       std::make_shared<obs::FlightRecorder>());
+    net::RouterFrontend frontend(&router);
+    net::HttpServerOptions server_options;
+    server_options.port = 0;
+    net::HttpServer server(server_options, frontend.AsHandler());
+    frontend.AttachServer(&server);
+    ASSERT_TRUE(server.Start().ok);
+
+    std::string reply;
+    EXPECT_EQ(PostWithDeadlineHeader(server.port(), "0", binary, payload, &reply),
+              400);
+    expect_error_frame(reply, 400);
+    if (port == dead_port) {
+      EXPECT_EQ(
+          PostWithDeadlineHeader(server.port(), "3000", binary, payload, &reply),
+          503);
+      expect_error_frame(reply, 503);
+    } else {
+      ASSERT_EQ(
+          PostWithDeadlineHeader(server.port(), "3000", binary, payload, &reply),
+          200);
+      wire::SuggestResponseFrame answer;
+      std::string decode_error;
+      EXPECT_TRUE(wire::DecodeSuggestResponse(reply, &answer, &decode_error))
+          << decode_error;
+      EXPECT_GE(router.replica(0).pipelined_client()->generation(), 1u)
+          << "the frame did not ride the pipelined connection";
+    }
+    server.Stop();
+  }
   replica->server->Stop();
 }
 

@@ -554,6 +554,24 @@ TEST(WireTest, CorruptFrameSweepRejectsEveryMutation) {
       wire::DecodeSuggestResponse(good_response + "y", &response_out, &error));
 }
 
+// The replica and the router pick a request's codec with this one
+// predicate: the media type decides, whatever its case, parameters or
+// surrounding whitespace.
+TEST(WireTest, BinaryContentTypeIgnoresCaseAndParameters) {
+  for (const char* yes :
+       {"application/x-dssddi", "APPLICATION/X-DSSDDI", "application/x-dssddi;",
+        "application/x-dssddi; charset=binary", " \tapplication/x-dssddi \t",
+        "Application/X-Dssddi ;v=2"}) {
+    EXPECT_TRUE(net::wire::IsBinaryContentType(yes)) << yes;
+  }
+  for (const char* no :
+       {"", ";", "application/json", "application/x-dssddi2",
+        "application/x-dssdd", "xapplication/x-dssddi",
+        "application/x-dssddi charset=binary", "application/json; x=application/x-dssddi"}) {
+    EXPECT_FALSE(net::wire::IsBinaryContentType(no)) << no;
+  }
+}
+
 // The router reads the model version of every 200 it stores in its
 // stale cache; reading it in place must agree with the full decoder on
 // which frames are valid and on the value.
@@ -1568,6 +1586,66 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
             6u + static_cast<uint64_t>(timed_out.load()));
   EXPECT_GT(stats.expired, 0u);
   EXPECT_EQ(stats.reloads, 1u);
+  server.Stop();
+}
+
+// The default budget belongs to the route, not to the raw target: a
+// query string must not drop it. /v1/suggest?x=1 sent without a deadline
+// still gets suggest_budget_ms, so it expires behind a parked worker
+// instead of waiting for it.
+TEST_F(NetEndToEndTest, QueryStringKeepsTheDefaultSuggestBudget) {
+  serve::ServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.cache_capacity = 0;  // the request must reach the batcher
+  serve::SuggestionService service(*bundle_, service_options);
+  net::SuggestFrontendOptions frontend_options;
+  frontend_options.suggest_budget_ms = 8;
+  net::SuggestFrontend frontend(&service, frontend_options);
+  net::HttpServerOptions server_options;
+  server_options.port = 0;
+  net::HttpServer server(server_options, frontend.AsHandler());
+  ASSERT_TRUE(server.Start().ok);
+
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok);
+  net::ClientRequestOptions no_deadline;
+  no_deadline.deadline_ms = 5000;          // the client waits for the answer
+  no_deadline.advertise_deadline_ms = 0;   // ...and sends no X-Deadline-Ms
+  net::ClientResponse response;
+  {
+    testing::WorkerGate gate;
+    testing::ParkWorker(service, gate);
+    std::atomic<bool> answered{false};
+    std::thread sender([&] {
+      EXPECT_TRUE(client.Request("POST", "/v1/suggest?x=1",
+                                 SuggestBody(dataset_->split.test.front(), 3,
+                                             false),
+                                 no_deadline, &response)
+                      .ok);
+      answered.store(true);
+    });
+    while (service.QueueDepth() < 1 && !answered.load()) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Release();
+    sender.join();
+  }
+  EXPECT_EQ(response.status, 504) << response.body;
+  EXPECT_EQ(service.Stats().expired + service.Stats().deadline_shed, 1u);
+
+  // /statsz reports the budget on /v1/suggest and none on the others.
+  net::ClientResponse stats;
+  ASSERT_TRUE(client.Request("GET", "/statsz", "", &stats).ok);
+  net::JsonValue document;
+  std::string error;
+  ASSERT_TRUE(net::ParseJson(stats.body, &document, &error)) << error;
+  const net::JsonValue* routes = document.Find("routes");
+  ASSERT_NE(routes, nullptr);
+  ASSERT_NE(routes->Find("/v1/suggest"), nullptr);
+  ASSERT_NE(routes->Find("/healthz"), nullptr);
+  EXPECT_EQ(routes->Find("/v1/suggest")->Find("default_budget_ms")->AsInt(), 8);
+  EXPECT_EQ(routes->Find("/healthz")->Find("default_budget_ms")->AsInt(), 0);
   server.Stop();
 }
 
